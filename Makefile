@@ -154,12 +154,16 @@ scenarios:
 	$(GO) test -run 'TestLibraryFilesMatchBuiltins|TestBuiltinsAreCanonical' ./internal/scenario
 
 # replay-golden pins the counterfactual-replay pipeline end to end: the
-# polca-replay CLI over the committed decision-log fixture must reproduce
-# the golden report byte for byte (self-replay fidelity line included),
-# and -self must exit clean. Refresh after intentional report changes with
+# live row must still record the committed decision-log and span fixtures
+# byte for byte (regenerated in place, then checked against git, like
+# scenarios), the polca-replay CLI over them must reproduce the golden
+# report byte for byte (self-replay fidelity line included), and -self
+# must exit clean. Refresh after intentional report changes with
 #   go test -run TestGolden -update ./cmd/polca-replay
 .PHONY: replay-golden
 replay-golden:
+	cd cmd/polca-replay/testdata && $(GO) run gen.go
+	git diff --exit-code cmd/polca-replay/testdata
 	$(GO) test -run 'TestGolden|TestSelfMode' ./cmd/polca-replay
 	$(GO) run ./cmd/polca-replay -self -no-provenance cmd/polca-replay/testdata/decisions.jsonl
 

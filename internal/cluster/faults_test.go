@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -87,47 +88,99 @@ func TestStaleOOBCommands(t *testing.T) {
 }
 
 // TestWatchdogEngagesWithinK: the deadman self-caps on exactly the K-th
-// silent epoch after a controller crash, and releases on restart.
+// silent epoch after a controller crash, and releases on restart. The
+// engage and release events keep a fixed order: engage, the two watchdog
+// cap requests, then the drains; release, the undrains, then the
+// controller's re-asserted locks.
 func TestWatchdogEngagesWithinK(t *testing.T) {
 	const k = 5
-	cfg := testConfig()
-	cfg.WatchdogEpochs = k
-	cfg.Faults = mustSpec(t, "crash=1m+30")
-	m, _, o := runObservedRow(t, cfg, polca.New(polca.DefaultConfig()), 0.5, 5*time.Minute)
-	if m.WatchdogEngagements != 1 {
-		t.Fatalf("WatchdogEngagements = %d, want 1", m.WatchdogEngagements)
-	}
-	tr := o.Tracer
-	var crashAt, engageAt, restartAt, releaseAt time.Duration = -1, -1, -1, -1
-	for _, ev := range tr.Events() {
-		switch ev.Kind {
-		case obs.KindCtrlCrash:
-			if crashAt < 0 {
-				crashAt = time.Duration(ev.At)
+	drainCfg := serveConfig()
+	drainCfg.WatchdogDrain = true
+	for _, tc := range []struct {
+		name string
+		cfg  cluster.RowConfig
+	}{
+		{"slot", testConfig()},
+		{"serve-drain", drainCfg},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.WatchdogEpochs = k
+			cfg.Faults = mustSpec(t, "crash=1m+30")
+			m, _, o := runObservedRow(t, cfg, polca.New(polca.DefaultConfig()), 0.5, 5*time.Minute)
+			if m.WatchdogEngagements != 1 {
+				t.Fatalf("WatchdogEngagements = %d, want 1", m.WatchdogEngagements)
 			}
-		case obs.KindWatchdogEngage:
-			engageAt = time.Duration(ev.At)
-		case obs.KindCtrlRestart:
-			restartAt = time.Duration(ev.At)
-		case obs.KindWatchdogRelease:
-			releaseAt = time.Duration(ev.At)
-		}
-	}
-	if crashAt < 0 || engageAt < 0 || restartAt < 0 || releaseAt < 0 {
-		t.Fatalf("missing lifecycle events: crash %v engage %v restart %v release %v",
-			crashAt, engageAt, restartAt, releaseAt)
-	}
-	// The crash tick itself is silent epoch 1, so engagement lands K-1
-	// intervals later.
-	if want := crashAt + (k-1)*cfg.TelemetryInterval; engageAt != want {
-		t.Errorf("watchdog engaged at %v, want %v (within %d epochs of silence)", engageAt, want, k)
-	}
-	if releaseAt != restartAt {
-		t.Errorf("watchdog released at %v, want on restart contact at %v", releaseAt, restartAt)
-	}
-	// While engaged, the row's desired locks are the conservative caps.
-	if m.Faults.CtrlCrashTicks == 0 {
-		t.Error("injector should report crash ticks")
+			evs := o.Tracer.Events()
+			var crashAt, restartAt time.Duration = -1, -1
+			engage, release := -1, -1
+			for i, ev := range evs {
+				switch ev.Kind {
+				case obs.KindCtrlCrash:
+					if crashAt < 0 {
+						crashAt = time.Duration(ev.At)
+					}
+				case obs.KindWatchdogEngage:
+					engage = i
+				case obs.KindCtrlRestart:
+					restartAt = time.Duration(ev.At)
+				case obs.KindWatchdogRelease:
+					release = i
+				}
+			}
+			if crashAt < 0 || engage < 0 || restartAt < 0 || release < 0 {
+				t.Fatalf("missing lifecycle events: crash %v engage %d restart %v release %d",
+					crashAt, engage, restartAt, release)
+			}
+			// The crash tick itself is silent epoch 1, so engagement lands K-1
+			// intervals later.
+			if want := crashAt + (k-1)*cfg.TelemetryInterval; time.Duration(evs[engage].At) != want {
+				t.Errorf("watchdog engaged at %v, want %v (within %d epochs of silence)", evs[engage].At, want, k)
+			}
+			if releaseAt := time.Duration(evs[release].At); releaseAt != restartAt {
+				t.Errorf("watchdog released at %v, want on restart contact at %v", releaseAt, restartAt)
+			}
+			if m.Faults.CtrlCrashTicks == 0 {
+				t.Error("injector should report crash ticks")
+			}
+
+			drains := 0
+			if cfg.WatchdogDrain {
+				drains = cfg.Servers()
+			}
+			// kinds renders n events from i as "kind/pool/MHz" (drains by kind
+			// and reason) for an order comparison.
+			kinds := func(i, n int) []string {
+				var out []string
+				for _, ev := range evs[i:min(i+n, len(evs))] {
+					s := ev.Kind.String()
+					switch ev.Kind {
+					case obs.KindCapRequest:
+						s = fmt.Sprintf("%s/%d/%g", s, ev.Pool, ev.MHz)
+					case obs.KindDrain, obs.KindUndrain:
+						s += "/" + ev.Reason
+					}
+					out = append(out, s)
+				}
+				return out
+			}
+			want := []string{"watchdog.engage", "cap.request/0/1110", "cap.request/1/1305"}
+			for range drains {
+				want = append(want, "replica.drain/watchdog")
+			}
+			if got := kinds(engage, len(want)); !reflect.DeepEqual(got, want) {
+				t.Errorf("engage order %v, want %v", got, want)
+			}
+			// The restarted policy sees half load and re-asserts no cap.
+			want = []string{"watchdog.release"}
+			for range drains {
+				want = append(want, "replica.undrain/watchdog")
+			}
+			want = append(want, "cap.request/0/0", "cap.request/1/0")
+			if got := kinds(release, len(want)); !reflect.DeepEqual(got, want) {
+				t.Errorf("release order %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -72,15 +72,7 @@ func (r *Row) RunRequests(reqs []workload.Request, horizon time.Duration) *Metri
 			r.dispatch(now, req)
 		})
 	}
-	r.startTelemetry()
-	r.eng.RunUntil(horizon)
-	r.stopTelemetry()
-	r.scheduleTSDBFinish()
-	r.eng.RunUntil(horizon + 30*time.Minute)
-	r.metrics.Faults = r.inj.Counts()
-	r.finalizeServe()
-	r.finishTSDB()
-	return r.metrics
+	return r.runTo(horizon)
 }
 
 // planFromRequests histograms arrivals into a rate plan.

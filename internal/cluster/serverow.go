@@ -489,7 +489,7 @@ func (r *Row) shedTarget() (int, string) {
 	if r.braked || r.brakePending {
 		return 2, "brake"
 	}
-	if r.watchdogEngaged {
+	if r.epoch.Engaged() {
 		return 2, "watchdog"
 	}
 	high := false
@@ -498,7 +498,7 @@ func (r *Row) shedTarget() (int, string) {
 		if n.dead {
 			continue
 		}
-		if n.appliedLock > 0 && n.appliedLock <= r.wdLPMHz {
+		if n.appliedLock > 0 && n.appliedLock <= r.epoch.wdLPMHz {
 			deep = true
 		}
 		if n.rep.KVFrac() >= serveKVShedFrac {

@@ -109,18 +109,3 @@ func ScanEvents(r io.Reader, comment func(line string), fn func(ev Event) error)
 	}
 	return nil
 }
-
-// ReadEvents parses event JSONL produced by WriteJSONL, skipping blank lines
-// and `#` provenance headers. Consumers that don't need the whole slice at
-// once should prefer ScanEvents, which this wraps.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	err := ScanEvents(r, nil, func(ev Event) error {
-		out = append(out, ev)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -37,59 +37,22 @@ type TickOutcome struct {
 	Diverged bool
 }
 
-// ReplayCaps drives a controller over the recorded tick stream, mirroring
-// the row's epoch semantics exactly: crashed and missed epochs are
-// controller silence (counting toward the deadman watchdog), recovery
-// resets restartable controllers cold, lost readings go to loss-aware
-// controllers as OnTelemetryLoss (contact) and count as silence otherwise,
-// and delivered readings reach OnTelemetry. Route decisions are skipped.
-// The returned outcomes align 1:1 with the log's tick decisions.
+// ReplayCaps drives a controller over the recorded tick stream through
+// the same cluster.Epoch state machine the row ran, configured with the
+// recorded watchdog, so every epoch's silence, watchdog and delivery
+// semantics are the live row's by construction. Route decisions are
+// skipped. The returned outcomes align 1:1 with the log's tick decisions.
 func ReplayCaps(l *Log, ctrl cluster.Controller) []TickOutcome {
 	act := &fakeAct{spec: gpu.A100SXM80GB()}
-	silent := 0
-	wdEngaged := false
-	contact := func() {
-		silent = 0
-		wdEngaged = false
-	}
-	silentEpoch := func() {
-		silent++
-		if l.Meta.WatchdogEpochs <= 0 || wdEngaged || silent < l.Meta.WatchdogEpochs {
-			return
-		}
-		wdEngaged = true
-		act.SetPoolLock(workload.Low, l.Meta.WatchdogLPMHz)
-		act.SetPoolLock(workload.High, l.Meta.WatchdogHPMHz)
-	}
+	ep := cluster.NewEpoch(ctrl, l.Meta.WatchdogEpochs, l.Meta.WatchdogLPMHz, l.Meta.WatchdogHPMHz)
 	out := make([]TickOutcome, 0, l.Ticks())
-	for _, d := range l.Decisions {
+	for i := range l.Decisions {
+		d := &l.Decisions[i]
 		if d.Kind != obs.DecTick {
 			continue
 		}
-		now := d.At // sim.Time is a time.Duration alias
-		if d.Reset {
-			if rs, ok := ctrl.(cluster.Restartable); ok {
-				rs.Reset()
-			}
-		}
-		switch {
-		case d.Down, d.Missed:
-			silentEpoch()
-		case d.Lost:
-			if la, aware := ctrl.(cluster.TelemetryLossAware); aware {
-				contact()
-				la.OnTelemetryLoss(now, act)
-			} else {
-				silentEpoch()
-			}
-		case d.Delivered:
-			contact()
-			ctrl.OnTelemetry(now, d.Reading, act)
-		default:
-			// A tick with no epoch flag cannot be produced by the recorder;
-			// treat it as silence rather than inventing a reading.
-			silentEpoch()
-		}
+		ep.Advance(d)
+		ep.Act(d, act)
 		out = append(out, TickOutcome{
 			Seq:      d.Seq,
 			At:       d.At,

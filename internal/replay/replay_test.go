@@ -22,8 +22,9 @@ import (
 // controller crash long enough to engage the watchdog, a node death) with
 // the decision recorder attached, and returns the written log. The router
 // is round-robin — the stateful policy — so route fidelity checks cursor
-// reproduction, not just snapshot arithmetic.
-func recordedDay(t *testing.T, horizon time.Duration) *replay.Log {
+// reproduction, not just snapshot arithmetic. ctrl is the deployed
+// controller; nil deploys the guarded POLCA policy.
+func recordedDay(t *testing.T, horizon time.Duration, ctrl cluster.Controller) *replay.Log {
 	t.Helper()
 	cfg := cluster.Production()
 	cfg.BaseServers = 8
@@ -43,7 +44,9 @@ func recordedDay(t *testing.T, horizon time.Duration) *replay.Log {
 	cfg.ServeRetries = 3
 	cfg.ServeRetryBackoff = 2 * time.Second
 
-	ctrl := polca.NewGuard(polca.New(polca.DefaultConfig()), polca.DefaultGuardConfig())
+	if ctrl == nil {
+		ctrl = polca.NewGuard(polca.New(polca.DefaultConfig()), polca.DefaultGuardConfig())
+	}
 	pspec, gspec, err := polca.DescribeController(ctrl)
 	if err != nil {
 		t.Fatal(err)
@@ -78,37 +81,58 @@ func recordedDay(t *testing.T, horizon time.Duration) *replay.Log {
 // TestSelfReplayFidelity is the acceptance anchor: replaying a recorded
 // faulted serve-mode day against its own configuration must reproduce the
 // recorded action for 100% of decisions — every cap tick and every router
-// pick. Nothing less proves the log carries the policy's full input.
+// pick. Nothing less proves the log carries the policy's full input. The
+// guarded policy is loss-aware, so its lost epochs are contact; the plain
+// policy is not, so the same dropout replays as watchdog silence.
 func TestSelfReplayFidelity(t *testing.T) {
 	horizon := 24 * time.Hour
 	if testing.Short() {
 		horizon = 20 * time.Minute
 	}
-	l := recordedDay(t, horizon)
-	if l.Ticks() == 0 || l.Routes() == 0 {
-		t.Fatalf("log has %d ticks, %d routes; the fidelity check is vacuous", l.Ticks(), l.Routes())
-	}
+	for _, tc := range []struct {
+		name string
+		ctrl cluster.Controller
+	}{
+		{"guarded", nil},
+		{"plain", polca.New(polca.DefaultConfig())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := recordedDay(t, horizon, tc.ctrl)
+			if l.Ticks() == 0 || l.Routes() == 0 {
+				t.Fatalf("log has %d ticks, %d routes; the fidelity check is vacuous", l.Ticks(), l.Routes())
+			}
+			lost := 0
+			for _, d := range l.Decisions {
+				if d.Kind == obs.DecTick && d.Lost {
+					lost++
+				}
+			}
+			if lost == 0 {
+				t.Fatal("log has no lost epochs; the loss path is not exercised")
+			}
 
-	diverged, ticks, err := replay.SelfCheck(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ticks != l.Ticks() {
-		t.Fatalf("self-check covered %d ticks, log has %d", ticks, l.Ticks())
-	}
-	if diverged != 0 {
-		t.Fatalf("self replay diverged on %d/%d ticks; the log does not carry the policy's full input", diverged, ticks)
-	}
+			diverged, ticks, err := replay.SelfCheck(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ticks != l.Ticks() {
+				t.Fatalf("self-check covered %d ticks, log has %d", ticks, l.Ticks())
+			}
+			if diverged != 0 {
+				t.Fatalf("self replay diverged on %d/%d ticks; the log does not carry the policy's full input", diverged, ticks)
+			}
 
-	outs, sum, err := replay.ReplayRoutes(l, l.Meta.Router)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != l.Routes() {
-		t.Fatalf("route replay covered %d picks, log has %d", len(outs), l.Routes())
-	}
-	if sum.Diverged != 0 {
-		t.Fatalf("self route replay diverged on %d/%d picks", sum.Diverged, sum.Routes)
+			outs, sum, err := replay.ReplayRoutes(l, l.Meta.Router)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(outs) != l.Routes() {
+				t.Fatalf("route replay covered %d picks, log has %d", len(outs), l.Routes())
+			}
+			if sum.Diverged != 0 {
+				t.Fatalf("self route replay diverged on %d/%d picks", sum.Diverged, sum.Routes)
+			}
+		})
 	}
 }
 
@@ -117,7 +141,7 @@ func TestSelfReplayFidelity(t *testing.T) {
 // price the divergence — no-cap leaves headroom claims on a run where the
 // deployed policy capped.
 func TestAlternatesDivergeAndPrice(t *testing.T) {
-	l := recordedDay(t, 30*time.Minute)
+	l := recordedDay(t, 30*time.Minute, nil)
 	prof, err := replay.NewProfiler(l.Meta)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +203,7 @@ func TestAlternatesDivergeAndPrice(t *testing.T) {
 // the recorded candidate snapshots, and the deployed router must be the
 // only one guaranteed divergence-free.
 func TestRouterReplayAllPolicies(t *testing.T) {
-	l := recordedDay(t, 20*time.Minute)
+	l := recordedDay(t, 20*time.Minute, nil)
 	anyDiverged := false
 	for _, name := range serve.RouterNames() {
 		outs, sum, err := replay.ReplayRoutes(l, name)

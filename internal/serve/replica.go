@@ -371,9 +371,6 @@ func (r *Replica) currentSeg(now sim.Time) *spanSeg {
 	return &r.span[r.spanCursor]
 }
 
-// KVCapacityTokens returns the replica's KV capacity in tokens.
-func (r *Replica) KVCapacityTokens() int { return r.kvCapToks }
-
 // Idle reports whether the replica has no work at all.
 func (r *Replica) Idle() bool {
 	return !r.iterActive && len(r.span) == 0 && len(r.running) == 0 && r.waiting.Len() == 0
@@ -440,9 +437,6 @@ func (r *Replica) newSeqTrace(now sim.Time) *seqTrace {
 // SetDraining switches the replica's graceful-drain mode: while draining
 // it refuses new admissions but lets accepted work finish. Idempotent.
 func (r *Replica) SetDraining(v bool) { r.draining = v }
-
-// Draining reports whether the replica is in graceful-drain mode.
-func (r *Replica) Draining() bool { return r.draining }
 
 // Enqueue accepts a request into the waiting queue, kicking the iteration
 // loop if the replica was idle. It returns false when the queue is at
