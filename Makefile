@@ -1,11 +1,12 @@
 GO ?= go
 
 # ci is the tier-1 gate: static checks, a full build, the race-enabled test
-# suite (which exercises the parallel sweep executor), a short substrate
+# suite (which exercises the parallel sweep executor), the perfbench
+# module's vet and tests, a short substrate
 # benchmark smoke, schema validation of the committed BENCH_*.json
 # trajectory, a chaos smoke run, and a fault-spec fuzz smoke.
 .PHONY: ci
-ci: vet staticcheck rand-audit build test bench-smoke bench-check chaos chaos-serve fuzz-smoke scenarios replay-golden
+ci: vet staticcheck rand-audit build test perfbench bench-smoke bench-check chaos chaos-serve fuzz-smoke scenarios replay-golden
 
 .PHONY: vet
 vet:
@@ -46,6 +47,14 @@ build:
 .PHONY: test
 test:
 	$(GO) test -race -timeout 45m ./...
+
+# perfbench is the repo benchmark's own module (polca/perfbench, built
+# against this tree through a replace directive). The root go.mod does not
+# include it, so build, vet and test it here to keep its use of the obs,
+# cluster and replay APIs compiling.
+.PHONY: perfbench
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The hot-path benchmark set tracked by the BENCH_*.json trajectory: the
 # substrate micro-benchmarks (event heap, timers, observability fast paths,

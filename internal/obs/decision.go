@@ -1,14 +1,11 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -220,10 +217,9 @@ type DecisionMeta struct {
 // the non-perturbation guarantee the row relies on (see
 // BenchmarkDecisionRecord for the enabled path's zero-alloc contract).
 type DecisionRecorder struct {
-	mu    sync.Mutex
-	seq   uint64
+	buf recordBuf[Decision]
+	// meta and the route-candidate arena are guarded by buf's lock.
 	meta  DecisionMeta
-	recs  []Decision
 	cands []RouteCandidate
 }
 
@@ -235,25 +231,16 @@ func NewDecisionRecorder() *DecisionRecorder {
 // Enabled reports whether decisions are being recorded.
 func (r *DecisionRecorder) Enabled() bool { return r != nil }
 
-// SetMeta stores the log header; the row fills the shape fields at
-// construction and the CLI fills the policy spec.
-func (r *DecisionRecorder) SetMeta(m DecisionMeta) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.meta = m
-	r.mu.Unlock()
-}
-
-// UpdateMeta edits the stored header in place under the recorder's lock.
+// UpdateMeta edits the stored log header in place under the recorder's
+// lock: the row fills the shape fields at construction and the CLI fills
+// the policy spec.
 func (r *DecisionRecorder) UpdateMeta(fn func(*DecisionMeta)) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
+	r.buf.mu.Lock()
 	fn(&r.meta)
-	r.mu.Unlock()
+	r.buf.mu.Unlock()
 }
 
 // Meta returns the stored header.
@@ -261,8 +248,8 @@ func (r *DecisionRecorder) Meta() DecisionMeta {
 	if r == nil {
 		return DecisionMeta{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.buf.mu.Lock()
+	defer r.buf.mu.Unlock()
 	return r.meta
 }
 
@@ -272,12 +259,10 @@ func (r *DecisionRecorder) RecordTick(d Decision) {
 		return
 	}
 	d.Kind = DecTick
-	r.mu.Lock()
-	r.seq++
-	d.Seq = r.seq
-	r.recs = append(r.recs, d)
-	r.mu.Unlock()
+	r.buf.push(d, stampDecision)
 }
+
+func stampDecision(d *Decision, seq uint64) { d.Seq = seq }
 
 // RecordRoute records one router decision with its candidate snapshot. The
 // candidates are copied into the recorder's arena, so callers may reuse
@@ -287,14 +272,12 @@ func (r *DecisionRecorder) RecordRoute(d Decision, cands []RouteCandidate) {
 		return
 	}
 	d.Kind = DecRoute
-	r.mu.Lock()
-	r.seq++
-	d.Seq = r.seq
-	d.EpOff = int32(len(r.cands))
-	d.EpLen = int32(len(cands))
-	r.cands = append(r.cands, cands...)
-	r.recs = append(r.recs, d)
-	r.mu.Unlock()
+	r.buf.push(d, func(d *Decision, seq uint64) {
+		d.Seq = seq
+		d.EpOff = int32(len(r.cands))
+		d.EpLen = int32(len(cands))
+		r.cands = append(r.cands, cands...)
+	})
 }
 
 // Len returns the number of recorded decisions.
@@ -302,9 +285,7 @@ func (r *DecisionRecorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.recs)
+	return r.buf.len()
 }
 
 // Decisions returns a copy of the recorded decisions in order, plus the
@@ -313,10 +294,10 @@ func (r *DecisionRecorder) Decisions() ([]Decision, []RouteCandidate) {
 	if r == nil {
 		return nil, nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	recs := make([]Decision, len(r.recs))
-	copy(recs, r.recs)
+	r.buf.mu.Lock()
+	defer r.buf.mu.Unlock()
+	recs := make([]Decision, len(r.buf.recs))
+	copy(recs, r.buf.recs)
 	cands := make([]RouteCandidate, len(r.cands))
 	copy(cands, r.cands)
 	return recs, cands
@@ -328,11 +309,7 @@ func (r *DecisionRecorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.recs = r.recs[:0]
-	r.cands = r.cands[:0]
-	r.seq = 0
-	r.mu.Unlock()
+	r.buf.reset(func() { r.cands = r.cands[:0] })
 }
 
 // appendDecisionJSON renders one decision as a single JSON object with
@@ -452,26 +429,17 @@ func (r *DecisionRecorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	meta := r.Meta()
+	r.buf.mu.Lock()
+	defer r.buf.mu.Unlock()
+	meta := r.meta
 	meta.Schema = DecisionSchema
-	recs, cands := r.Decisions()
-	bw := bufio.NewWriter(w)
 	hdr, err := json.Marshal(meta)
 	if err != nil {
 		return err
 	}
-	if _, err := bw.Write(append(hdr, '\n')); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 512)
-	for _, d := range recs {
-		buf = appendDecisionJSON(buf[:0], d, cands)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeJSONL(w, hdr, r.buf.recs, func(b []byte, d Decision) []byte {
+		return appendDecisionJSON(b, d, r.cands)
+	})
 }
 
 // decisionJSON is the decode-side shadow of appendDecisionJSON. Util is a
@@ -569,62 +537,33 @@ func parseDecisionLine(raw []byte, cands []RouteCandidate) (Decision, []RouteCan
 // be silently replayed. A file truncated mid-line surfaces as a JSON parse
 // error on that line.
 func ScanDecisions(r io.Reader, comment func(line string), fn func(d Decision, cands []RouteCandidate) error) (DecisionMeta, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), scanSpansMaxLine)
-	line := 0
 	var meta DecisionMeta
 	sawMeta := false
-	lastSeq := uint64(0)
+	seq := seqCheck{noun: "decisions"}
 	var scratch []RouteCandidate
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		if raw[0] == '#' {
-			if comment != nil {
-				comment(string(raw))
-			}
-			continue
-		}
+	err := scanJSONL(r, "decisions", comment, func(raw []byte) error {
 		if !sawMeta {
 			if err := json.Unmarshal(raw, &meta); err != nil {
-				return meta, fmt.Errorf("decisions line %d: header: %w", line, err)
+				return fmt.Errorf("header: %w", err)
 			}
 			if meta.Schema != DecisionSchema {
-				return meta, fmt.Errorf("decisions line %d: schema %q, want %q", line, meta.Schema, DecisionSchema)
+				return fmt.Errorf("schema %q, want %q", meta.Schema, DecisionSchema)
 			}
 			sawMeta = true
-			continue
+			return nil
 		}
 		var d Decision
 		var err error
-		d, scratch, err = parseDecisionLine(raw, scratch[:0])
-		if err != nil {
-			return meta, fmt.Errorf("decisions line %d: %w", line, err)
+		if d, scratch, err = parseDecisionLine(raw, scratch[:0]); err != nil {
+			return err
 		}
-		if d.Seq != lastSeq+1 {
-			if d.Seq > lastSeq+1 {
-				return meta, fmt.Errorf("decisions line %d: sequence gap: seq %d follows %d (%d decisions missing)",
-					line, d.Seq, lastSeq, d.Seq-lastSeq-1)
-			}
-			return meta, fmt.Errorf("decisions line %d: sequence regression: seq %d follows %d",
-				line, d.Seq, lastSeq)
+		if err := seq.next(d.Seq); err != nil {
+			return err
 		}
-		lastSeq = d.Seq
-		if err := fn(d, d.Candidates(scratch)); err != nil {
-			return meta, fmt.Errorf("decisions line %d: %w", line, err)
-		}
+		return fn(d, d.Candidates(scratch))
+	})
+	if err == nil && !sawMeta {
+		err = errors.New("decisions: empty log (no header line)")
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return meta, fmt.Errorf("decisions line %d: longer than %d bytes: %w", line+1, scanSpansMaxLine, err)
-		}
-		return meta, fmt.Errorf("decisions line %d: %w", line+1, err)
-	}
-	if !sawMeta {
-		return meta, errors.New("decisions: empty log (no header line)")
-	}
-	return meta, nil
+	return meta, err
 }

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -33,18 +30,11 @@ func parseEventLine(raw []byte) (Event, error) {
 	if !ok {
 		return Event{}, fmt.Errorf("unknown kind %q", ej.Kind)
 	}
-	pool := PoolNone
-	switch ej.Pool {
-	case "low":
-		pool = PoolLow
-	case "high":
-		pool = PoolHigh
-	}
 	return Event{
 		At:     time.Duration(ej.TUS) * time.Microsecond,
 		Kind:   kind,
 		Server: ej.Server,
-		Pool:   pool,
+		Pool:   parsePool(ej.Pool),
 		MHz:    ej.MHz,
 		Value:  ej.Value,
 		Reason: ej.Reason,
@@ -66,46 +56,15 @@ func parseEventLine(raw []byte) (Event, error) {
 // before sequence numbers existed carry no "seq" and skip the check. A file
 // truncated mid-line surfaces as a JSON parse error on that line.
 func ScanEvents(r io.Reader, comment func(line string), fn func(ev Event) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), scanSpansMaxLine)
-	line := 0
-	lastSeq := uint64(0)
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		if raw[0] == '#' {
-			if comment != nil {
-				comment(string(raw))
-			}
-			continue
-		}
+	seq := seqCheck{noun: "events", loose: true}
+	return scanJSONL(r, "events", comment, func(raw []byte) error {
 		ev, err := parseEventLine(raw)
 		if err != nil {
-			return fmt.Errorf("events line %d: %w", line, err)
+			return err
 		}
-		if ev.Seq != 0 {
-			if lastSeq != 0 && ev.Seq != lastSeq+1 {
-				if ev.Seq > lastSeq+1 {
-					return fmt.Errorf("events line %d: sequence gap: seq %d follows %d (%d events missing)",
-						line, ev.Seq, lastSeq, ev.Seq-lastSeq-1)
-				}
-				return fmt.Errorf("events line %d: sequence regression: seq %d follows %d",
-					line, ev.Seq, lastSeq)
-			}
-			lastSeq = ev.Seq
+		if err := seq.next(ev.Seq); err != nil {
+			return err
 		}
-		if err := fn(ev); err != nil {
-			return fmt.Errorf("events line %d: %w", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return fmt.Errorf("events line %d: longer than %d bytes: %w", line+1, scanSpansMaxLine, err)
-		}
-		return fmt.Errorf("events line %d: %w", line+1, err)
-	}
-	return nil
+		return fn(ev)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -30,6 +31,12 @@ func appendJSONString(b []byte, s string) []byte {
 		}
 	}
 	return append(b, '"')
+}
+
+// JSONString returns s as a JSON string literal, escaped as the export
+// path escapes it; hand-framed exporters use it for names and labels.
+func JSONString(s string) string {
+	return string(appendJSONString(nil, s))
 }
 
 func utf8AppendRune(b []byte, r rune) []byte {
@@ -80,22 +87,15 @@ func appendEventJSON(b []byte, ev Event) []byte {
 }
 
 // WriteJSONL writes the tracer's events, one JSON object per line, in
-// emission order. The encoding is hand-rolled (fixed field order, omitted
-// zero fields) so identical runs produce identical bytes.
+// emission order. It encodes straight from the buffer, so concurrent Emit
+// calls wait until it returns.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 256)
-	for _, ev := range t.Events() {
-		buf = appendEventJSON(buf[:0], ev)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	t.buf.mu.Lock()
+	defer t.buf.mu.Unlock()
+	return writeJSONL(w, nil, t.buf.recs, appendEventJSON)
 }
 
 // chromeTraceRow is one emitted trace-event object in the Chrome
@@ -134,6 +134,52 @@ func (r chromeTraceRow) append(b []byte) []byte {
 	return append(b, '}')
 }
 
+// ChromeTrace writes one file in the Chrome trace-event JSON format (the
+// object form chrome://tracing and ui.perfetto.dev load). It owns the
+// framing — the header that opens the event array, the separators between
+// rows, the trailer — and error propagation, so each exporter renders only
+// its own rows. Write errors stick: later rows are dropped and Close
+// returns the first one.
+type ChromeTrace struct {
+	bw   *bufio.Writer
+	buf  []byte
+	rows int
+}
+
+// NewChromeTrace starts a trace on w.
+func NewChromeTrace(w io.Writer) *ChromeTrace {
+	c := &ChromeTrace{bw: bufio.NewWriter(w)}
+	c.bw.WriteString(`{"traceEvents":[`)
+	return c
+}
+
+// Rowf writes one trace-event object rendered fmt-style; string values
+// should go through JSONString.
+func (c *ChromeTrace) Rowf(format string, a ...any) {
+	c.sep()
+	fmt.Fprintf(c.bw, format, a...)
+}
+
+func (c *ChromeTrace) row(r chromeTraceRow) {
+	c.sep()
+	c.buf = r.append(c.buf[:0])
+	c.bw.Write(c.buf)
+}
+
+func (c *ChromeTrace) sep() {
+	if c.rows > 0 {
+		c.bw.WriteString(",\n")
+	}
+	c.rows++
+}
+
+// Close writes the trailer and flushes. A bufio.Writer refuses every write
+// after its first failure, so the error it returns is the first one.
+func (c *ChromeTrace) Close() error {
+	c.bw.WriteString("]}\n")
+	return c.bw.Flush()
+}
+
 // Track ids: row-level events live on tid 0; server s lives on tid s+1.
 const rowTrack = 0
 
@@ -144,40 +190,40 @@ func serverTrack(server int32) int32 { return server + 1 }
 // server, with capping intervals (cap.apply → cap.release) and the power
 // brake (brake.engage → brake.release) as duration spans and everything
 // else as instants. The output loads directly in chrome://tracing and
-// ui.perfetto.dev.
+// ui.perfetto.dev. Like WriteJSONL it reads the buffer in place, so
+// concurrent Emit calls wait until it returns.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	events := t.Events()
-	var rows []chromeTraceRow
+	t.buf.mu.Lock()
+	defer t.buf.mu.Unlock()
+	events := t.buf.recs
+	ct := NewChromeTrace(w)
+	// Name the tracks: the row, then every server the stream mentions.
 	maxServer := int32(-1)
-	lastTS := int64(0)
-
-	type openSpan struct {
-		startUS int64
-		name    string
-		args    string
+	for i := range events {
+		maxServer = max(maxServer, events[i].Server)
 	}
-	capOpen := map[int32]openSpan{}  // server -> open capping span
-	var brakeOpen *openSpan          // row-level brake span
+	ct.row(chromeTraceRow{name: "thread_name", ph: "M", tid: rowTrack, args: `"name":"row"`})
+	for s := int32(0); s <= maxServer; s++ {
+		ct.row(chromeTraceRow{
+			name: "thread_name", ph: "M", tid: serverTrack(s),
+			args: `"name":` + JSONString(fmt.Sprintf("server %d", s)),
+		})
+	}
 
+	capOpen := map[int32]openSpan{} // server -> open capping span
+	var brakeOpen *openSpan         // row-level brake span
+	lastTS := int64(0)
 	for _, ev := range events {
 		ts := int64(ev.At / time.Microsecond)
-		if ts > lastTS {
-			lastTS = ts
-		}
-		if ev.Server > maxServer {
-			maxServer = ev.Server
-		}
+		lastTS = max(lastTS, ts)
 		switch ev.Kind {
 		case KindCapApply:
 			// A re-lock at a new frequency closes the previous span.
 			if sp, ok := capOpen[ev.Server]; ok {
-				rows = append(rows, chromeTraceRow{
-					name: sp.name, ph: "X", ts: sp.startUS, dur: ts - sp.startUS,
-					tid: serverTrack(ev.Server), args: sp.args,
-				})
+				ct.row(sp.until(ts, serverTrack(ev.Server)))
 			}
 			capOpen[ev.Server] = openSpan{
 				startUS: ts,
@@ -186,20 +232,14 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			}
 		case KindCapRelease:
 			if sp, ok := capOpen[ev.Server]; ok {
-				rows = append(rows, chromeTraceRow{
-					name: sp.name, ph: "X", ts: sp.startUS, dur: ts - sp.startUS,
-					tid: serverTrack(ev.Server), args: sp.args,
-				})
+				ct.row(sp.until(ts, serverTrack(ev.Server)))
 				delete(capOpen, ev.Server)
 			}
 		case KindBrakeEngage:
 			brakeOpen = &openSpan{startUS: ts, name: "power brake"}
 		case KindBrakeRelease:
 			if brakeOpen != nil {
-				rows = append(rows, chromeTraceRow{
-					name: brakeOpen.name, ph: "X", ts: brakeOpen.startUS,
-					dur: ts - brakeOpen.startUS, tid: rowTrack,
-				})
+				ct.row(brakeOpen.until(ts, rowTrack))
 				brakeOpen = nil
 			}
 		case KindArrive, KindComplete, KindDrop:
@@ -212,7 +252,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			}
 			args := ""
 			if ev.Reason != "" {
-				args = `"reason":` + string(appendJSONString(nil, ev.Reason))
+				args = `"reason":` + JSONString(ev.Reason)
 			}
 			if ev.Value != 0 {
 				if args != "" {
@@ -220,64 +260,34 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				}
 				args += `"value":` + strconv.FormatFloat(ev.Value, 'g', -1, 64)
 			}
-			rows = append(rows, chromeTraceRow{
-				name: ev.Kind.String(), ph: "i", ts: ts, tid: tid, args: args,
-			})
+			ct.row(chromeTraceRow{name: ev.Kind.String(), ph: "i", ts: ts, tid: tid, args: args})
 		}
 	}
 	// Close dangling spans at the last observed timestamp so locks still
-	// held at end of run are visible.
-	for server, sp := range capOpen {
-		rows = append(rows, chromeTraceRow{
-			name: sp.name, ph: "X", ts: sp.startUS, dur: lastTS - sp.startUS,
-			tid: serverTrack(server), args: sp.args,
-		})
+	// held at end of run are visible, in server order so the export is
+	// deterministic.
+	servers := make([]int32, 0, len(capOpen))
+	for server := range capOpen {
+		servers = append(servers, server)
+	}
+	slices.Sort(servers)
+	for _, server := range servers {
+		ct.row(capOpen[server].until(lastTS, serverTrack(server)))
 	}
 	if brakeOpen != nil {
-		rows = append(rows, chromeTraceRow{
-			name: brakeOpen.name, ph: "X", ts: brakeOpen.startUS,
-			dur: lastTS - brakeOpen.startUS, tid: rowTrack,
-		})
+		ct.row(brakeOpen.until(lastTS, rowTrack))
 	}
-	// Name the tracks.
-	meta := []chromeTraceRow{{
-		name: "thread_name", ph: "M", tid: rowTrack, args: `"name":"row"`,
-	}}
-	for s := int32(0); s <= maxServer; s++ {
-		meta = append(meta, chromeTraceRow{
-			name: "thread_name", ph: "M", tid: serverTrack(s),
-			args: `"name":` + string(appendJSONString(nil, fmt.Sprintf("server %d", s))),
-		})
-	}
+	return ct.Close()
+}
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 256)
-	first := true
-	writeRow := func(r chromeTraceRow) error {
-		buf = buf[:0]
-		if !first {
-			buf = append(buf, ',', '\n')
-		}
-		first = false
-		buf = r.append(buf)
-		_, err := bw.Write(buf)
-		return err
-	}
-	for _, r := range meta {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rows {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+// openSpan is a capping or brake interval still waiting for its end.
+type openSpan struct {
+	startUS int64
+	name    string
+	args    string
+}
+
+// until closes the span at endUS on track tid.
+func (sp openSpan) until(endUS int64, tid int32) chromeTraceRow {
+	return chromeTraceRow{name: sp.name, ph: "X", ts: sp.startUS, dur: endUS - sp.startUS, tid: tid, args: sp.args}
 }

@@ -1,6 +1,9 @@
 // Package obs is the simulation-time observability layer: a structured
-// event tracer, a metrics registry, a sweep progress tracker, and a live
-// HTTP introspection endpoint. It exists so a surprising result — a
+// event tracer, a request span tracer, a decision-provenance recorder, a
+// metrics registry, a bounded sim-time TSDB with alert rules, a sweep
+// progress tracker, and a live HTTP introspection endpoint. The three
+// recorders share one record core (record.go) and every Chrome trace one
+// writer (ChromeTrace). It exists so a surprising result — a
 // GOODPUT dip at one threshold combination, a brake storm under drifted
 // intensity — can be audited from the run's own telemetry instead of a
 // re-run under a debugger.
@@ -22,10 +25,7 @@
 // import it without cycles.
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Kind enumerates the event taxonomy. Events are typed rather than
 // free-form so exports can build tracks and reconciliation tests can
@@ -206,6 +206,17 @@ func PoolName(p int8) string {
 	return ""
 }
 
+// parsePool inverts PoolName for the JSONL decoders.
+func parsePool(name string) int8 {
+	switch name {
+	case "low":
+		return PoolLow
+	case "high":
+		return PoolHigh
+	}
+	return PoolNone
+}
+
 // Event is one traced occurrence. It is a flat value type — no pointers
 // besides the two strings, which emitters populate with static literals —
 // so emitting does not allocate beyond the tracer's amortized buffer
@@ -242,9 +253,7 @@ type Sink interface {
 // Tracer records typed events with simulated timestamps. It is safe for
 // concurrent use; a nil *Tracer is a valid disabled sink.
 type Tracer struct {
-	mu     sync.Mutex
-	seq    uint64
-	events []Event
+	buf recordBuf[Event]
 }
 
 // NewTracer returns an enabled tracer.
@@ -252,24 +261,18 @@ func NewTracer() *Tracer {
 	return &Tracer{}
 }
 
-// Emit records an event. On a nil tracer it returns immediately — this is
-// the hot-path guard the whole stack relies on (see
+// Emit records an event, stamping its Seq. On a nil tracer it returns
+// immediately — this is the hot-path guard the whole stack relies on (see
 // BenchmarkTracerDisabled), so it must stay a single branch before the
 // slow path.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
 	}
-	t.append(ev)
+	t.buf.push(ev, stampEvent)
 }
 
-func (t *Tracer) append(ev Event) {
-	t.mu.Lock()
-	t.seq++
-	ev.Seq = t.seq
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
+func stampEvent(ev *Event, seq uint64) { ev.Seq = seq }
 
 // Enabled reports whether events are being recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
@@ -279,9 +282,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
+	return t.buf.len()
 }
 
 // Events returns a copy of the recorded events in emission order.
@@ -289,11 +290,7 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
+	return t.buf.snapshot()
 }
 
 // CountKind returns how many recorded events have the given kind —
@@ -302,11 +299,11 @@ func (t *Tracer) CountKind(k Kind) int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.buf.mu.Lock()
+	defer t.buf.mu.Unlock()
 	n := 0
-	for i := range t.events {
-		if t.events[i].Kind == k {
+	for i := range t.buf.recs {
+		if t.buf.recs[i].Kind == k {
 			n++
 		}
 	}
@@ -319,10 +316,7 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.events = t.events[:0]
-	t.seq = 0
-	t.mu.Unlock()
+	t.buf.reset(nil)
 }
 
 // Observer bundles the observability handles a simulation layer needs:
@@ -423,25 +417,6 @@ func (o *Observer) Histogram(name string, bounds []float64) *Histogram {
 		return nil
 	}
 	return o.Metrics.Histogram(MergeLabels(name, o.Labels), bounds)
-}
-
-// WithLabels returns a derived observer sharing this observer's tracer and
-// registry with additional label pairs appended. kv alternates keys and
-// values; values are escaped.
-func (o *Observer) WithLabels(kv ...string) *Observer {
-	if o == nil {
-		return nil
-	}
-	labels := o.Labels
-	for i := 0; i+1 < len(kv); i += 2 {
-		l := Label(kv[i], kv[i+1])
-		if labels == "" {
-			labels = l
-		} else {
-			labels += "," + l
-		}
-	}
-	return &Observer{Tracer: o.Tracer, Metrics: o.Metrics, Spans: o.Spans, Labels: labels, DB: o.DB, Rules: o.Rules, Decisions: o.Decisions}
 }
 
 // MetricsOnly returns a derived observer with the event and span tracers

@@ -57,7 +57,7 @@ func TestNilSafety(t *testing.T) {
 	var o *Observer
 	o.Emit(Event{})
 	if o.Trace() != nil || o.Counter("x") != nil || o.Gauge("x") != nil ||
-		o.Histogram("x", nil) != nil || o.WithLabels("a", "b") != nil || o.MetricsOnly() != nil {
+		o.Histogram("x", nil) != nil || o.MetricsOnly() != nil {
 		t.Fatal("nil observer should stay nil through derivation")
 	}
 }
@@ -190,6 +190,52 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTraceClosesOpenCapsInServerOrder: locks still held at
+// end of run are closed in server order, so the export is byte-identical
+// from one write to the next however many servers are still capped.
+func TestWriteChromeTraceClosesOpenCapsInServerOrder(t *testing.T) {
+	tr := NewTracer()
+	for s := int32(7); s >= 0; s-- {
+		tr.Emit(Event{At: time.Duration(8-s) * time.Second, Kind: KindCapApply, Server: s, Pool: PoolLow, MHz: 1100})
+	}
+	var first bytes.Buffer
+	if err := tr.WriteChromeTrace(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		if err := tr.WriteChromeTrace(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("write %d differs from the first", i+2)
+		}
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph  string `json:"ph"`
+			Tid int32  `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(first.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var tids []int32
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			tids = append(tids, ev.Tid)
+		}
+	}
+	if len(tids) != 8 {
+		t.Fatalf("closed %d cap spans, want 8", len(tids))
+	}
+	for i, tid := range tids {
+		if tid != serverTrack(int32(i)) {
+			t.Fatalf("cap span tids = %v, want servers in order", tids)
+		}
+	}
+}
+
 func TestRegistryAndPrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`row_requests_total{priority="low"}`).Add(10)
@@ -269,14 +315,10 @@ func TestMergeLabelsAndLabel(t *testing.T) {
 func TestObserverLabelScoping(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer()
-	o := &Observer{Tracer: tr, Metrics: reg}
-	po := o.WithLabels("policy", "polca")
+	po := &Observer{Tracer: tr, Metrics: reg, Labels: Label("policy", "polca")}
 	po.Counter("row_lock_commands_total").Add(3)
 	if got := reg.Counter(`row_lock_commands_total{policy="polca"}`).Value(); got != 3 {
 		t.Fatalf("labeled counter = %d, want 3", got)
-	}
-	if po.Trace() != tr {
-		t.Fatal("WithLabels should share the tracer")
 	}
 	mo := po.MetricsOnly()
 	if mo.Trace() != nil {

@@ -1,15 +1,11 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -118,10 +114,10 @@ type Span struct {
 
 // SpanTracer records request spans. Like Tracer, it is safe for concurrent
 // use and a nil *SpanTracer is a valid disabled sink — Emit on nil is a
-// single branch (see BenchmarkSpanTracerDisabled).
+// single branch (see BenchmarkSpanTracerDisabled). Spans carry no sequence
+// number: the export is sorted, not emission-ordered.
 type SpanTracer struct {
-	mu    sync.Mutex
-	spans []Span
+	buf recordBuf[Span]
 }
 
 // NewSpanTracer returns an enabled span tracer.
@@ -136,13 +132,7 @@ func (t *SpanTracer) Emit(sp Span) {
 	if t == nil {
 		return
 	}
-	t.append(sp)
-}
-
-func (t *SpanTracer) append(sp Span) {
-	t.mu.Lock()
-	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
+	t.buf.push(sp, nil)
 }
 
 // Enabled reports whether spans are being recorded.
@@ -153,9 +143,7 @@ func (t *SpanTracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.buf.len()
 }
 
 // Spans returns a copy of the recorded spans in emission order.
@@ -163,11 +151,7 @@ func (t *SpanTracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	return out
+	return t.buf.snapshot()
 }
 
 // Reset discards recorded spans but keeps the buffer capacity.
@@ -175,9 +159,7 @@ func (t *SpanTracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.mu.Unlock()
+	t.buf.reset(nil)
 }
 
 // appendSpanJSON renders one span as a single JSON object with fixed field
@@ -279,16 +261,7 @@ func (t *SpanTracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 256)
-	for _, sp := range t.sortedSpans() {
-		buf = appendSpanJSON(buf[:0], sp)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeJSONL(w, nil, t.sortedSpans(), appendSpanJSON)
 }
 
 // WriteChromeTrace renders the spans in the Chrome trace-event JSON format
@@ -300,23 +273,22 @@ func (t *SpanTracer) WriteChromeTrace(w io.Writer) error {
 		return nil
 	}
 	spans := t.sortedSpans()
+	ct := NewChromeTrace(w)
+	// Name every request's track first.
 	tids := map[int64]int32{}
-	var meta []chromeTraceRow
-	var rows []chromeTraceRow
 	for _, sp := range spans {
-		tid, ok := tids[sp.Req]
-		if !ok {
-			tid = int32(len(tids))
-			tids[sp.Req] = tid
-			label := fmt.Sprintf("req %d", sp.Req)
-			if sp.Class != "" {
-				label += " (" + sp.Class + ")"
-			}
-			meta = append(meta, chromeTraceRow{
-				name: "thread_name", ph: "M", tid: tid,
-				args: `"name":` + string(appendJSONString(nil, label)),
-			})
+		if _, ok := tids[sp.Req]; ok {
+			continue
 		}
+		tid := int32(len(tids))
+		tids[sp.Req] = tid
+		label := fmt.Sprintf("req %d", sp.Req)
+		if sp.Class != "" {
+			label += " (" + sp.Class + ")"
+		}
+		ct.row(chromeTraceRow{name: "thread_name", ph: "M", tid: tid, args: `"name":` + JSONString(label)})
+	}
+	for _, sp := range spans {
 		name := sp.Kind.String()
 		if sp.Kind == SpanPrefill && sp.Recompute {
 			name = "prefill (recompute)"
@@ -331,51 +303,18 @@ func (t *SpanTracer) WriteChromeTrace(w io.Writer) error {
 		if sp.Kind == SpanRequest {
 			args += `,"ttft_s":` + strconv.FormatFloat(sp.TTFTSec, 'g', -1, 64)
 			if sp.Reason != "" {
-				args += `,"reason":` + string(appendJSONString(nil, sp.Reason))
+				args += `,"reason":` + JSONString(sp.Reason)
 			}
 		}
-		ts := int64(sp.Start / time.Microsecond)
+		row := chromeTraceRow{name: name, ph: "X", ts: int64(sp.Start / time.Microsecond), tid: tids[sp.Req], args: args}
 		if sp.Kind == SpanPreempt {
-			rows = append(rows, chromeTraceRow{name: name, ph: "i", ts: ts, tid: tid, args: args})
-			continue
+			row.ph = "i"
+		} else {
+			row.dur = int64((sp.End - sp.Start) / time.Microsecond)
 		}
-		rows = append(rows, chromeTraceRow{
-			name: name, ph: "X", ts: ts,
-			dur: int64((sp.End - sp.Start) / time.Microsecond),
-			tid: tid, args: args,
-		})
+		ct.row(row)
 	}
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 256)
-	first := true
-	writeRow := func(r chromeTraceRow) error {
-		buf = buf[:0]
-		if !first {
-			buf = append(buf, ',', '\n')
-		}
-		first = false
-		buf = r.append(buf)
-		_, err := bw.Write(buf)
-		return err
-	}
-	for _, r := range meta {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rows {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return ct.Close()
 }
 
 // spanJSON is the decode-side shadow of appendSpanJSON's wire format.
@@ -402,11 +341,6 @@ type spanJSON struct {
 	Turn      int32   `json:"turn"`
 }
 
-// scanSpansMaxLine bounds one JSONL line. Span lines are a few hundred
-// bytes, but the limit is generous so a hand-edited or concatenated file
-// fails with a line-numbered error rather than a silent mid-file stop.
-const scanSpansMaxLine = 64 * 1024 * 1024
-
 // ScanSpans streams span JSONL produced by WriteJSONL: one callback per
 // parsed span, in file order, without materializing the file or the span
 // slice. Blank lines are skipped; `#` provenance lines go to comment (when
@@ -414,36 +348,13 @@ const scanSpansMaxLine = 64 * 1024 * 1024
 // lines beyond the 64 MiB cap, or an error returned by fn (which aborts the
 // scan) — carry the 1-based line number.
 func ScanSpans(r io.Reader, comment func(line string), fn func(sp Span) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), scanSpansMaxLine)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		if raw[0] == '#' {
-			if comment != nil {
-				comment(string(raw))
-			}
-			continue
-		}
+	return scanJSONL(r, "spans", comment, func(raw []byte) error {
 		sp, err := parseSpanLine(raw)
 		if err != nil {
-			return fmt.Errorf("spans line %d: %w", line, err)
+			return err
 		}
-		if err := fn(sp); err != nil {
-			return fmt.Errorf("spans line %d: %w", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return fmt.Errorf("spans line %d: longer than %d bytes: %w", line+1, scanSpansMaxLine, err)
-		}
-		return fmt.Errorf("spans line %d: %w", line+1, err)
-	}
-	return nil
+		return fn(sp)
+	})
 }
 
 // parseSpanLine decodes one non-comment JSONL line into a Span.
@@ -456,13 +367,6 @@ func parseSpanLine(raw []byte) (Span, error) {
 	if !ok {
 		return Span{}, fmt.Errorf("unknown kind %q", sj.Kind)
 	}
-	pool := PoolNone
-	switch sj.Pool {
-	case "low":
-		pool = PoolLow
-	case "high":
-		pool = PoolHigh
-	}
 	return Span{
 		Req:       sj.Req,
 		ID:        sj.ID,
@@ -471,7 +375,7 @@ func parseSpanLine(raw []byte) (Span, error) {
 		Start:     time.Duration(sj.StartUS) * time.Microsecond,
 		End:       time.Duration(sj.EndUS) * time.Microsecond,
 		Server:    sj.Server,
-		Pool:      pool,
+		Pool:      parsePool(sj.Pool),
 		Class:     sj.Class,
 		Tokens:    sj.Tokens,
 		Recompute: sj.Recompute,

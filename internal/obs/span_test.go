@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -182,78 +180,22 @@ func BenchmarkSpanTracerDisabled(b *testing.B) {
 	}
 }
 
-// TestScanSpans covers the streaming reader: spans stream in file order,
-// comment lines reach the comment callback instead of the parser, and
-// every failure mode — malformed JSON, unknown kind, a callback error, an
-// over-long line — is reported with its 1-based line number.
+// TestScanSpans: spans stream through the callback decoded, in file
+// order. Line-level errors are part of the shared TestScanContract.
 func TestScanSpans(t *testing.T) {
-	input := "# polca-sim v0\n\n" +
-		`{"req":2,"id":1,"kind":"request","start_us":0,"end_us":100,"ttft_s":0.01}` + "\n" +
-		`{"req":2,"id":2,"kind":"queue","start_us":0,"end_us":5}` + "\n"
-	var comments []string
+	input := `{"req":2,"id":1,"kind":"request","start_us":0,"end_us":100,"ttft_s":0.01}` + "\n" +
+		`{"req":2,"id":2,"parent":1,"kind":"queue","start_us":0,"end_us":5}` + "\n"
 	var got []Span
-	err := ScanSpans(strings.NewReader(input),
-		func(line string) { comments = append(comments, line) },
-		func(sp Span) error { got = append(got, sp); return nil })
+	err := ScanSpans(strings.NewReader(input), nil, func(sp Span) error { got = append(got, sp); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comments) != 1 || comments[0] != "# polca-sim v0" {
-		t.Errorf("comments = %q", comments)
+	want := []Span{
+		{Req: 2, ID: 1, Kind: SpanRequest, End: 100 * time.Microsecond, Server: -1, Pool: PoolNone, TTFTSec: 0.01},
+		{Req: 2, ID: 2, Parent: 1, Kind: SpanQueue, End: 5 * time.Microsecond, Server: -1, Pool: PoolNone, TTFTSec: -1},
 	}
-	if len(got) != 2 || got[0].Kind != SpanRequest || got[1].Kind != SpanQueue {
-		t.Errorf("spans = %+v", got)
-	}
-
-	for _, tc := range []struct {
-		name, input, wantErr string
-	}{
-		{"bad json", "{\"req\":1,\"id\":1,\"kind\":\"request\",\"start_us\":0,\"end_us\":1,\"ttft_s\":-1}\n{not json}\n", "spans line 2:"},
-		{"bad kind", `{"req":1,"id":1,"kind":"zebra","start_us":0,"end_us":1}` + "\n", `spans line 1: unknown kind "zebra"`},
-	} {
-		err := ScanSpans(strings.NewReader(tc.input), nil, func(Span) error { return nil })
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
-		}
-	}
-
-	// A callback error aborts the scan and carries the offending line.
-	calls := 0
-	err = ScanSpans(strings.NewReader(input), nil, func(Span) error {
-		calls++
-		return fmt.Errorf("stop here")
-	})
-	if err == nil || !strings.Contains(err.Error(), "spans line 3: stop here") {
-		t.Errorf("callback error = %v", err)
-	}
-	if calls != 1 {
-		t.Errorf("scan continued after callback error (%d calls)", calls)
-	}
-}
-
-// TestScanSpansLongLine pins the over-long-line behavior the raised limit
-// buys: a line beyond the cap fails loudly with its line number instead of
-// stopping the scan silently, and a multi-megabyte line (beyond the old
-// 1 MiB scanner cap) parses fine.
-func TestScanSpansLongLine(t *testing.T) {
-	big := `{"req":1,"id":1,"kind":"request","start_us":0,"end_us":1,"ttft_s":-1,"reason":"` +
-		strings.Repeat("x", 2<<20) + `"}` + "\n"
-	n := 0
-	if err := ScanSpans(strings.NewReader(big), nil, func(Span) error { n++; return nil }); err != nil {
-		t.Fatalf("2 MiB line: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("2 MiB line parsed %d spans", n)
-	}
-
-	over := "{\"req\":1,\"id\":1,\"kind\":\"request\",\"start_us\":0,\"end_us\":1,\"ttft_s\":-1}\n" +
-		strings.Repeat("y", scanSpansMaxLine+1)
-	err := ScanSpans(strings.NewReader(over), nil, func(Span) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "spans line 2:") {
-		t.Errorf("over-long line err = %v, want line 2 marker", err)
-	}
-	if !errors.Is(err, bufio.ErrTooLong) {
-		t.Errorf("over-long line err = %v, want bufio.ErrTooLong", err)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("spans = %+v, want %+v", got, want)
 	}
 }
 

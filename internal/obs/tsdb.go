@@ -669,57 +669,26 @@ func (db *TSDB) WriteChromeTrace(w io.Writer, window time.Duration) error {
 		return nil
 	}
 	db.Flush()
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(line string) error {
-		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err := io.WriteString(w, line)
-		return err
-	}
+	ct := NewChromeTrace(w)
 	for _, l := range []Level{LevelSite, LevelRow, LevelServer} {
-		// pid 1=site, 2=row, 3=server keeps Perfetto's process list in
-		// hierarchy order.
-		if err := emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"tsdb:%s"}}`, int(l)+1, l)); err != nil {
-			return err
-		}
+		ct.Rowf(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"tsdb:%s"}}`, tsdbPid(l), l)
 	}
 	db.mu.Lock()
 	series := append([]*TSSeries(nil), db.series...)
 	db.mu.Unlock()
 	for _, s := range series {
-		var pid int
-		switch s.level {
-		case LevelSite:
-			pid = 1
-		case LevelRow:
-			pid = 2
-		default:
-			pid = 3
-		}
 		for _, b := range s.Buckets(window) {
 			v := b.Mean()
 			if s.counter {
 				v = b.Last
 			}
-			line := fmt.Sprintf(`{"name":%s,"ph":"C","pid":%d,"tid":0,"ts":%d,"args":{"value":%s}}`,
-				jsonString(s.name), pid, b.Start.Microseconds(), formatFloat(v))
-			if err := emit(line); err != nil {
-				return err
-			}
+			ct.Rowf(`{"name":%s,"ph":"C","pid":%d,"tid":0,"ts":%d,"args":{"value":%s}}`,
+				JSONString(s.name), tsdbPid(s.level), b.Start.Microseconds(), formatFloat(v))
 		}
 	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	return ct.Close()
 }
 
-// jsonString renders s as a JSON string using the export-path escaper.
-func jsonString(s string) string {
-	return string(appendJSONString(nil, s))
-}
+// tsdbPid is a level's Chrome-trace process: 1=site, 2=row, 3=server keeps
+// Perfetto's process list in hierarchy order.
+func tsdbPid(l Level) int { return int(LevelSite-l) + 1 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -334,6 +335,42 @@ func TestTSDBWriteChromeTrace(t *testing.T) {
 		if !strings.Contains(out, w) {
 			t.Errorf("chrome trace missing %q:\n%s", w, out)
 		}
+	}
+
+	// Every counter row sits in the process named after its series' level.
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
+	}
+	procs := map[int]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "process_name" {
+			procs[ev.Pid] = ev.Args["name"].(string)
+		}
+	}
+	levels := map[string]Level{}
+	for _, s := range []*TSSeries{site, row, srv} {
+		levels[s.Name()] = s.Level()
+	}
+	counters := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "C" {
+			continue
+		}
+		counters++
+		if want := "tsdb:" + levels[ev.Name].String(); procs[ev.Pid] != want {
+			t.Errorf("counter %q in pid %d named %q, want %q", ev.Name, ev.Pid, procs[ev.Pid], want)
+		}
+	}
+	if counters == 0 {
+		t.Fatal("no counter rows")
 	}
 }
 

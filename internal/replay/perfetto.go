@@ -1,11 +1,8 @@
 package replay
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"polca/internal/obs"
 )
@@ -17,33 +14,15 @@ import (
 // annotate exactly where the deployed configuration left headroom or
 // burned latency.
 func WritePerfetto(w io.Writer, meta obs.DecisionMeta, sums []*PolicySummary) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	emit := func(row string) error {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err := bw.WriteString(row)
-		return err
-	}
-	if err := emit(`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"polca-replay regret"}}`); err != nil {
-		return err
-	}
+	ct := obs.NewChromeTrace(w)
+	ct.Rowf(`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"polca-replay regret"}}`)
 	durUS := int64(meta.TelemetrySec * 1e6)
 	if durUS <= 0 {
 		durUS = 2e6
 	}
 	for tid, s := range sums {
-		if err := emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`,
-			tid+1, jsonString("vs "+s.Name))); err != nil {
-			return err
-		}
+		ct.Rowf(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`,
+			tid+1, obs.JSONString("vs "+s.Name))
 		for _, r := range s.TopRegret {
 			label := "headroom-left"
 			if r.SavedJ > 0 {
@@ -52,43 +31,15 @@ func WritePerfetto(w io.Writer, meta obs.DecisionMeta, sums []*PolicySummary) er
 			if r.BrakeRisk {
 				label = "brake-risk"
 			}
-			row := fmt.Sprintf(
-				`{"name":%s,"ph":"X","pid":1,"tid":%d,"ts":%d,"dur":%d,"args":{"seq":%d,"headroom_j":%s,"saved_j":%s,"latency_s":%s,"rec_lp_mhz":%s,"rec_hp_mhz":%s,"alt_lp_mhz":%s,"alt_hp_mhz":%s}}`,
-				jsonString(label), tid+1, r.At.Microseconds(), durUS, r.Seq,
+			ct.Rowf(`{"name":%s,"ph":"X","pid":1,"tid":%d,"ts":%d,"dur":%d,"args":{"seq":%d,"headroom_j":%s,"saved_j":%s,"latency_s":%s,"rec_lp_mhz":%s,"rec_hp_mhz":%s,"alt_lp_mhz":%s,"alt_hp_mhz":%s}}`,
+				obs.JSONString(label), tid+1, r.At.Microseconds(), durUS, r.Seq,
 				jsonFloat(r.HeadroomJ), jsonFloat(r.SavedJ), jsonFloat(r.LatencyS),
 				jsonFloat(r.RecLP), jsonFloat(r.RecHP), jsonFloat(r.AltLP), jsonFloat(r.AltHP))
-			if err := emit(row); err != nil {
-				return err
-			}
 		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return ct.Close()
 }
 
 func jsonFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func jsonString(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
 }
