@@ -1,12 +1,24 @@
 GO ?= go
 
-# ci is the tier-1 gate: static checks, a full build, the race-enabled test
-# suite (which exercises the parallel sweep executor), the perfbench
-# module's vet and tests, a short substrate
+# ci is the tier-1 gate: static checks (gofmt, vet, staticcheck), a full
+# build, the race-enabled test suite (which exercises the parallel sweep
+# executor), the perfbench module's vet and tests, a short substrate
 # benchmark smoke, schema validation of the committed BENCH_*.json
 # trajectory, a chaos smoke run, and a fault-spec fuzz smoke.
 .PHONY: ci
-ci: vet staticcheck rand-audit build test perfbench bench-smoke bench-check chaos chaos-serve fuzz-smoke scenarios replay-golden
+ci: fmt vet staticcheck rand-audit build test perfbench bench-smoke bench-check chaos chaos-serve fuzz-smoke scenarios replay-golden
+
+# fmt fails when any Go file in the tree (the perfbench module included)
+# is not gofmt-clean, listing the offenders.
+.PHONY: fmt
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "gofmt: these files need formatting (run gofmt -w):"; \
+		echo "$$out"; \
+		exit 1; \
+	fi; \
+	echo "gofmt: clean"
 
 .PHONY: vet
 vet:

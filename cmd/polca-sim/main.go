@@ -133,14 +133,14 @@ import (
 
 // runOpts carries everything one policy simulation needs.
 type runOpts struct {
-	policy       string
-	cfg          cluster.RowConfig
-	days         int
-	seed         int64
-	t1, t2       float64
-	guard        bool
-	faults       string // canonical DSL form, for reports and provenance
-	retrain      bool
+	policy            string
+	cfg               cluster.RowConfig
+	days              int
+	seed              int64
+	t1, t2            float64
+	guard             bool
+	faults            string // canonical DSL form, for reports and provenance
+	retrain           bool
 	reqs              []workload.Request // non-nil replays a recorded trace
 	scen              *scenario.Spec     // non-nil generates scenario traffic
 	scenScale         float64
@@ -345,7 +345,7 @@ func main() {
 			policy: p, cfg: cfg, days: *days, seed: *seed,
 			t1: *t1, t2: *t2, guard: *guard, faults: spec.String(),
 			retrain: *retrain, reqs: reqs,
-			scen:    scen, scenScale: *scenScale,
+			scen: scen, scenScale: *scenScale,
 			csvPath:           policyCSVPath(*csvPath, p, len(policies) > 1),
 			tracePath:         policyCSVPath(*tracePath, p, len(policies) > 1),
 			perfettoPath:      policyCSVPath(*perfettoPath, p, len(policies) > 1),

@@ -12,14 +12,14 @@ import (
 )
 
 // runObservedRow runs a row with the full observability stack attached —
-// tracer, metrics registry, TSDB, and the default alert ruleset (the
-// -tsdb -rules flag combination) — and returns both the run metrics and
+// tracer, span tracer, metrics registry, TSDB, and the default alert
+// ruleset (the -tsdb -rules flag combination) — and returns both the run metrics and
 // the row (for in-flight inspection). Attaching everything here means the
 // zero-perturbation test below covers the whole pipeline.
 func runObservedRow(t *testing.T, cfg cluster.RowConfig, ctrl cluster.Controller,
 	busy float64, horizon time.Duration) (*cluster.Metrics, *cluster.Row, *obs.Observer) {
 	t.Helper()
-	o := &obs.Observer{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
+	o := &obs.Observer{Tracer: obs.NewTracer(), Spans: obs.NewSpanTracer(), Metrics: obs.NewRegistry()}
 	set, err := obs.ParseRules(obs.DefaultRules)
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +93,7 @@ func TestTraceReconcilesWithMetrics(t *testing.T) {
 	if snap.Counters["sim_events_dispatched_total"] == 0 {
 		t.Error("engine should count dispatched events")
 	}
+	checkOutcomes(t, m, o)
 	hist, ok := snap.Histograms["row_util_seconds"]
 	if !ok {
 		t.Fatal("row_util_seconds histogram missing")
@@ -107,6 +108,57 @@ func TestTraceReconcilesWithMetrics(t *testing.T) {
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
 			t.Fatalf("event %d out of order: %v after %v", i, evs[i].At, evs[i-1].At)
+		}
+	}
+}
+
+// checkOutcomes requires the per-priority completion and drop counters and
+// req.complete/req.drop events to agree with Metrics.Completed/Dropped. In
+// serve mode every request must also close with a root span, and no
+// attempt (request id and retry count) with more than one.
+func checkOutcomes(t *testing.T, m *cluster.Metrics, o *obs.Observer) {
+	t.Helper()
+	if m.Config.Serve != nil {
+		type attempt struct {
+			req   int64
+			retry int32
+		}
+		roots := map[attempt]int{}
+		reqs := map[int64]bool{}
+		for _, sp := range o.Spans.Spans() {
+			if sp.Kind != obs.SpanRequest {
+				continue
+			}
+			a := attempt{sp.Req, sp.Retry}
+			if roots[a]++; roots[a] == 2 {
+				t.Errorf("request %d attempt %d has more than one root span", a.req, a.retry)
+			}
+			reqs[sp.Req] = true
+		}
+		if arrived := m.Arrived[workload.Low] + m.Arrived[workload.High]; len(reqs) != arrived {
+			t.Errorf("%d requests have a root span, %d arrived", len(reqs), arrived)
+		}
+	}
+	snap := o.Metrics.Snapshot()
+	events := map[obs.Kind]map[int8]int{obs.KindComplete: {}, obs.KindDrop: {}}
+	for _, ev := range o.Tracer.Events() {
+		if byPool, ok := events[ev.Kind]; ok {
+			byPool[ev.Pool]++
+		}
+	}
+	for _, p := range []workload.Priority{workload.Low, workload.High} {
+		lbl := `{priority="` + p.String() + `"}`
+		if got := snap.Counters["row_requests_completed_total"+lbl]; got != int64(m.Completed[p]) {
+			t.Errorf("row_requests_completed_total%s = %d, Completed = %d", lbl, got, m.Completed[p])
+		}
+		if got := snap.Counters["row_requests_dropped_total"+lbl]; got != int64(m.Dropped[p]) {
+			t.Errorf("row_requests_dropped_total%s = %d, Dropped = %d", lbl, got, m.Dropped[p])
+		}
+		if got := events[obs.KindComplete][int8(p)]; got != m.Completed[p] {
+			t.Errorf("%v req.complete events = %d, Completed = %d", p, got, m.Completed[p])
+		}
+		if got := events[obs.KindDrop][int8(p)]; got != m.Dropped[p] {
+			t.Errorf("%v req.drop events = %d, Dropped = %d", p, got, m.Dropped[p])
 		}
 	}
 }

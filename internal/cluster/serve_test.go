@@ -145,6 +145,61 @@ func TestServeTraceReconciles(t *testing.T) {
 	if got := snap.Counters["serve_preemptions_total"]; got != int64(m.Serve.Preemptions) {
 		t.Errorf("serve_preemptions_total = %d, want %d", got, m.Serve.Preemptions)
 	}
+	checkOutcomes(t, m, o)
+}
+
+// TestFaultedOutcomesReconcile drives every drop path under node-kill
+// faults — in slot mode node death and a full front buffer; in serve mode
+// node death inside a replica, a full replica queue, and (with retries
+// armed) an exhausted retry budget — and requires the outcome counters,
+// events and root spans to agree with the metrics.
+func TestFaultedOutcomesReconcile(t *testing.T) {
+	slot := testConfig()
+	srv := serveConfig()
+	srv.Serve.MaxBatchSize = 2
+	srv.Serve.QueueCap = 1
+	retry := srv
+	retry.ServeRetries = 1
+	retry.ServeRetryBackoff = 2 * time.Second
+	for _, tc := range []struct {
+		name string
+		cfg  cluster.RowConfig
+		// drops and retries list the req.drop and req.retry reasons
+		// the run must produce.
+		drops, retries []string
+	}{
+		{"slot", slot, []string{"node-death", "buffer-full"}, nil},
+		{"serve", srv, []string{"node-death", "queue-full"}, nil},
+		{"serve-retry", retry, []string{"retry-exhausted"}, []string{"node-death", "queue-full"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.AddedFraction = 0.30
+			cfg.Faults = mustSpec(t, "kill=6@8m+4m")
+			m, _, o := runObservedRow(t, cfg, &recordingCtrl{}, 0.95, 20*time.Minute)
+			if totals(m.Dropped) == 0 {
+				t.Fatal("faulted run dropped nothing")
+			}
+			reasons := map[obs.Kind]map[string]int{obs.KindDrop: {}, obs.KindRetry: {}}
+			for _, ev := range o.Tracer.Events() {
+				if byReason, ok := reasons[ev.Kind]; ok {
+					byReason[ev.Reason]++
+				}
+			}
+			for kind, want := range map[obs.Kind][]string{obs.KindDrop: tc.drops, obs.KindRetry: tc.retries} {
+				for _, reason := range want {
+					if reasons[kind][reason] == 0 {
+						t.Errorf("no %s %s event: the path is not exercised (have %v)", reason, kind, reasons[kind])
+					}
+				}
+			}
+			if totals(m.Arrived) != totals(m.Completed)+totals(m.Dropped) {
+				t.Errorf("arrived %d != completed %d + dropped %d",
+					totals(m.Arrived), totals(m.Completed), totals(m.Dropped))
+			}
+			checkOutcomes(t, m, o)
+		})
+	}
 }
 
 // TestServeNodeDeathDropsInFlight kills servers mid-run and checks the

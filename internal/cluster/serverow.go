@@ -229,10 +229,7 @@ func (r *Row) initServe() error {
 			r.tsdb.observeFirstToken(now, sec)
 		}
 		rep.OnComplete = func(s *serve.Seq, now sim.Time) {
-			pri := s.Req.Priority
-			r.metrics.Completed[pri]++
-			r.metrics.LatencySec[pri] = append(r.metrics.LatencySec[pri], (now - s.Req.Arrival).Seconds())
-			r.metrics.BusySec[pri] += (now - s.Enqueued).Seconds()
+			r.completeRequest(now, int32(n.idx), &s.Req, s.Enqueued)
 			tbt := s.MeanTBTSeconds()
 			classDigest(r.metrics.TBT, s.Req.Class).Add(tbt)
 			if ts := r.tsdb; ts != nil {
@@ -240,40 +237,18 @@ func (r *Row) initServe() error {
 			}
 			r.metrics.ClassEnergyJ[s.Req.Class] += s.EnergyJ()
 			r.metrics.ClassTokens[s.Req.Class] += int64(s.Decoded())
-			r.completedCtr[pri].Inc()
-			if r.tracer != nil {
-				r.tracer.Emit(obs.Event{
-					At: now, Kind: obs.KindComplete, Server: int32(n.idx), Pool: int8(pri),
-					Value: (now - s.Req.Arrival).Seconds(),
-				})
-			}
 		}
 		rep.OnDrop = func(s *serve.Seq, now sim.Time, reason string) {
-			pri := s.Req.Priority
 			// Dropped requests keep their partial attribution so per-class
 			// energy still sums to the replica-integrated total — including
 			// failed attempts that the failover path re-admits (the retried
 			// attempt recomputes from scratch, but the energy was spent).
 			r.metrics.ClassEnergyJ[s.Req.Class] += s.EnergyJ()
 			r.metrics.ClassTokens[s.Req.Class] += int64(s.Decoded())
-			if r.cfg.ServeRetries > 0 && s.Req.Retry < r.cfg.ServeRetries {
-				// The *Seq is recycled after this callback; requeue takes the
-				// request by value, so nothing outlives it.
-				r.requeueServe(now, int32(n.idx), s.Req, reason)
-				return
-			}
-			if r.cfg.ServeRetries > 0 {
-				reason = "retry-exhausted"
-				r.metrics.ServeRetryExhausted++
-			}
-			r.metrics.Dropped[pri]++
-			r.droppedCtr[pri].Inc()
-			if r.tracer != nil {
-				r.tracer.Emit(obs.Event{
-					At: now, Kind: obs.KindDrop, Server: int32(n.idx), Pool: int8(pri),
-					Reason: reason,
-				})
-			}
+			// The *Seq is recycled after this callback; failServe takes the
+			// request by value, so nothing outlives it. The replica has
+			// already closed the request's root span.
+			r.failServe(now, int32(n.idx), s.Req, reason, true)
 		}
 		n.rep = rep
 	}
@@ -281,7 +256,7 @@ func (r *Row) initServe() error {
 }
 
 // dispatchServe routes one request to a replica in its priority pool. Dead,
-// draining, and circuit-open nodes are excluded from the endpoint set; an
+// draining, and circuit-open nodes are excluded from the candidate set; an
 // empty set or a full replica queue sheds the request — or, with the
 // failover path armed, requeues it for a bounded, backed-off retry. With
 // class shedding armed, a power emergency degrades admission by shed rank
@@ -297,58 +272,23 @@ func (r *Row) dispatchServe(now sim.Time, req workload.Request) {
 		return
 	}
 	circuit := r.cfg.ServeCircuitSheds > 0
-	eps := r.serveEps[pri][:0]
-	nodes := r.serveNodes[pri][:0]
+	cands := r.serveCands[pri][:0]
 	for _, n := range r.pools[pri] {
 		if n.dead || n.draining() || (circuit && now < n.circuitUntil) {
 			continue
 		}
-		ep := serve.Endpoint{Rep: n.rep, CappedMHz: n.appliedLock}
-		ep.Snapshot()
-		eps = append(eps, ep)
-		nodes = append(nodes, n)
-	}
-	r.serveEps[pri], r.serveNodes[pri] = eps, nodes
-	i := r.routers[pri].Pick(eps, req)
-	r.recordRouteDecision(now, req, eps, nodes, i)
-	if i < 0 {
-		r.failServe(now, -1, req, "no-server")
-		return
-	}
-	n := nodes[i]
-	if !n.rep.Enqueue(now, req) {
-		r.noteShed(n, now)
-		r.failServe(now, int32(n.idx), req, "queue-full")
-		return
-	}
-	if q := n.rep.QueueLen(); q > r.metrics.MaxQueueLen {
-		r.metrics.MaxQueueLen = q
-	}
-}
-
-// recordRouteDecision snapshots one router pick into the decision log: the
-// request's routing-relevant fields and the exact candidate set (server
-// index, load, KV occupancy, applied cap) the router chose from. The
-// candidate scratch slice is reused across calls and copied into the
-// recorder's arena, so steady-state recording allocates nothing.
-func (r *Row) recordRouteDecision(now sim.Time, req workload.Request, eps []serve.Endpoint, nodes []*node, pick int) {
-	if r.dec == nil {
-		return
-	}
-	cands := r.decCands[:0]
-	for j := range eps {
 		cands = append(cands, obs.RouteCandidate{
-			Server:    int32(nodes[j].idx),
-			Load:      int32(eps[j].Load),
-			KVFrac:    eps[j].KVFrac,
-			CappedMHz: eps[j].CappedMHz,
+			Server:    int32(n.idx),
+			Load:      int32(n.rep.Load()),
+			KVFrac:    n.rep.KVFrac(),
+			CappedMHz: n.appliedLock,
 		})
 	}
-	r.decCands = cands
-	chosen := int32(-1)
-	if pick >= 0 {
-		chosen = int32(pick)
-	}
+	r.serveCands[pri] = cands
+	i := r.routers[pri].Pick(cands, req)
+	// The decision log records the pick with exactly the candidates the
+	// router saw; the recorder copies them into its arena, so the reused
+	// slice keeps steady-state recording allocation-free.
 	r.dec.RecordRoute(obs.Decision{
 		At:      now,
 		ReqID:   req.ID,
@@ -357,14 +297,28 @@ func (r *Row) recordRouteDecision(now sim.Time, req workload.Request, eps []serv
 		Retry:   int32(req.Retry),
 		Session: req.Session,
 		Prefix:  req.PrefixGroup,
-		Chosen:  chosen,
+		Chosen:  int32(i),
 	}, cands)
+	if i < 0 {
+		r.failServe(now, -1, req, "no-server", false)
+		return
+	}
+	n := r.nodes[cands[i].Server]
+	if !n.rep.Enqueue(now, req) {
+		r.noteShed(n, now)
+		r.failServe(now, int32(n.idx), req, "queue-full", false)
+		return
+	}
+	if q := n.rep.QueueLen(); q > r.metrics.MaxQueueLen {
+		r.metrics.MaxQueueLen = q
+	}
 }
 
-// failServe handles a request the router could not place: with retry
-// budget remaining it re-enters the router after a deterministic backoff,
-// otherwise it is finally dropped.
-func (r *Row) failServe(now sim.Time, srv int32, req workload.Request, reason string) {
+// failServe handles a request the serving path could not place or a
+// replica dropped: with retry budget remaining it re-enters the router
+// after a deterministic backoff, otherwise it is finally dropped. spanned
+// marks a request whose replica already closed its root span.
+func (r *Row) failServe(now sim.Time, srv int32, req workload.Request, reason string, spanned bool) {
 	if r.cfg.ServeRetries > 0 {
 		if req.Retry < r.cfg.ServeRetries {
 			r.requeueServe(now, srv, req, reason)
@@ -372,6 +326,10 @@ func (r *Row) failServe(now sim.Time, srv int32, req workload.Request, reason st
 		}
 		reason = "retry-exhausted"
 		r.metrics.ServeRetryExhausted++
+	}
+	if spanned {
+		r.dropRequest(now, srv, req.Priority, reason)
+		return
 	}
 	r.dropServe(now, srv, req, reason)
 }
@@ -383,12 +341,10 @@ func (r *Row) failServe(now sim.Time, srv int32, req workload.Request, reason st
 func (r *Row) requeueServe(now sim.Time, srv int32, req workload.Request, reason string) {
 	req.Retry++
 	r.metrics.ServeRetries++
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindRetry, Server: srv, Pool: int8(req.Priority),
-			Value: float64(req.Retry), Reason: reason,
-		})
-	}
+	r.tracer.Emit(obs.Event{
+		At: now, Kind: obs.KindRetry, Server: srv, Pool: int8(req.Priority),
+		Value: float64(req.Retry), Reason: reason,
+	})
 	base := r.cfg.ServeRetryBackoff
 	if base <= 0 {
 		base = r.cfg.TelemetryInterval
@@ -445,12 +401,10 @@ func (r *Row) noteShed(n *node, now sim.Time) {
 	}
 	n.circuitUntil = now + cooldown
 	r.metrics.CircuitOpens++
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindCircuitOpen, Server: int32(n.idx), Pool: int8(n.pri),
-			Value: float64(n.shedEpoch),
-		})
-	}
+	r.tracer.Emit(obs.Event{
+		At: now, Kind: obs.KindCircuitOpen, Server: int32(n.idx), Pool: int8(n.pri),
+		Value: float64(n.shedEpoch),
+	})
 }
 
 // serveHealthTick runs the serve-mode health bookkeeping once per
@@ -472,12 +426,10 @@ func (r *Row) serveHealthTick(now sim.Time) {
 	lvl, reason := r.shedTarget()
 	if lvl != r.shedLevel {
 		r.shedLevel = lvl
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{
-				At: now, Kind: obs.KindShedLevel, Server: -1, Pool: obs.PoolNone,
-				Value: float64(lvl), Reason: reason,
-			})
-		}
+		r.tracer.Emit(obs.Event{
+			At: now, Kind: obs.KindShedLevel, Server: -1, Pool: obs.PoolNone,
+			Value: float64(lvl), Reason: reason,
+		})
 	}
 }
 
@@ -533,22 +485,13 @@ const (
 // tracing is on, a request that never reached a replica still gets a root
 // span so the analyzer sees every outcome.
 func (r *Row) dropServe(now sim.Time, srv int32, req workload.Request, reason string) {
-	pri := req.Priority
-	r.metrics.Dropped[pri]++
-	r.droppedCtr[pri].Inc()
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindDrop, Server: srv, Pool: int8(pri), Reason: reason,
-		})
-	}
-	if r.spanSink != nil {
-		r.spanSink.Emit(obs.Span{
-			Req: req.ID, ID: 1, Kind: obs.SpanRequest,
-			Start: req.Arrival, End: now,
-			Server: srv, Pool: int8(pri), Class: req.Class,
-			TTFTSec: -1, Reason: reason, Retry: int32(req.Retry),
-		})
-	}
+	r.dropRequest(now, srv, req.Priority, reason)
+	r.spanSink.Emit(obs.Span{
+		Req: req.ID, ID: 1, Kind: obs.SpanRequest,
+		Start: req.Arrival, End: now,
+		Server: srv, Pool: int8(req.Priority), Class: req.Class,
+		TTFTSec: -1, Reason: reason, Retry: int32(req.Retry),
+	})
 }
 
 // finalizeServe folds the replicas' scheduler counters into the run

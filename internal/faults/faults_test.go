@@ -48,15 +48,16 @@ func TestParseFullScenario(t *testing.T) {
 	want := faults.Spec{
 		DropProb:  0.05,
 		SpikeProb: 0.02, SpikeMag: 0.5,
-		Stuck:        []faults.Window{{Start: 10 * time.Hour, Dur: 30 * time.Minute}},
-		Blackout:     []faults.Window{{Start: 4 * time.Hour, Dur: 5 * time.Minute}},
-		Crashes:      []faults.Crash{{At: 6 * time.Hour, Epochs: 20}},
-		MissProb:     0.01,
-		Burst:        []faults.Window{{Start: 11 * time.Hour, Dur: 15 * time.Minute}},
-		LatencyScale: 1.5,
-		Kills:        []faults.Kill{{Servers: 2, Window: faults.Window{Start: 8 * time.Hour, Dur: time.Hour}}},
-		Stragglers:   2, StragglerFactor: 1.3,
-		Drains:       []faults.Kill{{Servers: 2, Window: faults.Window{Start: 12 * time.Hour, Dur: 30 * time.Minute}}},
+		Stuck:           []faults.Window{{Start: 10 * time.Hour, Dur: 30 * time.Minute}},
+		Blackout:        []faults.Window{{Start: 4 * time.Hour, Dur: 5 * time.Minute}},
+		Crashes:         []faults.Crash{{At: 6 * time.Hour, Epochs: 20}},
+		MissProb:        0.01,
+		Burst:           []faults.Window{{Start: 11 * time.Hour, Dur: 15 * time.Minute}},
+		LatencyScale:    1.5,
+		Kills:           []faults.Kill{{Servers: 2, Window: faults.Window{Start: 8 * time.Hour, Dur: time.Hour}}},
+		Stragglers:      2,
+		StragglerFactor: 1.3,
+		Drains:          []faults.Kill{{Servers: 2, Window: faults.Window{Start: 12 * time.Hour, Dur: 30 * time.Minute}}},
 	}
 	if !reflect.DeepEqual(s, want) {
 		t.Errorf("Parse mismatch:\n got %+v\nwant %+v", s, want)

@@ -113,8 +113,10 @@ type Decision struct {
 	Chosen int32
 }
 
-// RouteCandidate is one endpoint as the router saw it: the replica's node
-// index, queued+running load, KV occupancy, and applied cap.
+// RouteCandidate is one routable replica as the router saw it: the
+// replica's node index, queued+running load, KV occupancy, and applied cap
+// (0 = uncapped). It is the only snapshot type the routers decide from, in
+// the live row and when polca-replay re-routes a recorded log.
 type RouteCandidate struct {
 	Server    int32
 	Load      int32

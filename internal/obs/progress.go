@@ -76,10 +76,10 @@ func (p *Progress) Done(name string, cached bool) {
 
 // ProgressSnapshot is a point-in-time view for the /progress endpoint.
 type ProgressSnapshot struct {
-	Total    int              `json:"total"`
-	Done     int              `json:"done"`
-	Cached   int              `json:"cached"`
-	InFlight []InFlightUnit   `json:"in_flight"`
+	Total    int            `json:"total"`
+	Done     int            `json:"done"`
+	Cached   int            `json:"cached"`
+	InFlight []InFlightUnit `json:"in_flight"`
 }
 
 // InFlightUnit is one unit currently running.

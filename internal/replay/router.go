@@ -41,7 +41,8 @@ type RouterSummary struct {
 
 // ReplayRoutes re-runs the log's route decisions through a fresh instance
 // of the named router policy, feeding it the recorded candidate snapshots
-// in record order. The live row keeps one router instance per priority
+// (the same obs.RouteCandidate values the live router picked from) in
+// record order. The live row keeps one router instance per priority
 // pool (the two streams interleave in the log), so the replay does too —
 // that is what makes stateful policies like round-robin reproduce their
 // recorded cursor exactly.
@@ -56,20 +57,11 @@ func ReplayRoutes(l *Log, name string) ([]RouteOutcome, *RouterSummary, error) {
 	}
 	outs := make([]RouteOutcome, 0, l.Routes())
 	sum := &RouterSummary{Name: name}
-	var eps []serve.Endpoint
 	for _, d := range l.Decisions {
 		if d.Kind != obs.DecRoute {
 			continue
 		}
 		cands := d.Candidates(l.Cands)
-		eps = eps[:0]
-		for _, c := range cands {
-			eps = append(eps, serve.Endpoint{
-				Load:      int(c.Load),
-				KVFrac:    c.KVFrac,
-				CappedMHz: c.CappedMHz,
-			})
-		}
 		req := workload.Request{
 			ID:          d.ReqID,
 			Class:       d.Class,
@@ -78,7 +70,7 @@ func ReplayRoutes(l *Log, name string) ([]RouteOutcome, *RouterSummary, error) {
 			Session:     d.Session,
 			PrefixGroup: d.Prefix,
 		}
-		pick := routers[req.Priority].Pick(eps, req)
+		pick := routers[req.Priority].Pick(cands, req)
 		o := RouteOutcome{
 			Seq:      d.Seq,
 			At:       d.At,

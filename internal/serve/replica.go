@@ -190,8 +190,8 @@ type Replica struct {
 	idx  int
 	pool int8
 
-	kvPerTok      int     // per-GPU KV bytes per token
-	kvCapToks     int     // per-GPU KV capacity in tokens
+	kvPerTok      int // per-GPU KV bytes per token
+	kvCapToks     int // per-GPU KV capacity in tokens
 	weightsPerGPU float64
 	scale         float64 // tensor-parallel degree: per-GPU → group energy
 	idleWatts     float64 // device idle draw (spec copy is too hot for PowerAt)
@@ -1008,12 +1008,9 @@ func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 	r.spanTimer = r.eng.AfterCancelable(last.end-now, r.spanEndFn)
 }
 
-// settleSeg applies a fully elapsed span segment's deferred effects in
-// order: formation (reservations, high-water note), launch (batch
-// counters), and finish (energy settlement, token advances) — the exact
-// operations, in the exact order, the per-stride scheduler performed at the
-// segment's formation and finish instants.
-func (r *Replica) settleSeg(i int) {
+// formSeg applies a span segment's deferred formation (reservations,
+// high-water note) and launch (batch counters) effects, each at most once.
+func (r *Replica) formSeg(i int) {
 	seg := &r.span[i]
 	if i >= r.spanFormed {
 		for _, s := range r.running {
@@ -1029,7 +1026,16 @@ func (r *Replica) settleSeg(i int) {
 		r.batchCtr.Inc()
 		r.spanLaunched = i + 1
 	}
+}
 
+// settleSeg applies a fully elapsed span segment's deferred effects in
+// order: formation and launch (formSeg), then finish (energy settlement,
+// token advances) — the exact operations, in the exact order, the
+// per-stride scheduler performed at the segment's formation and finish
+// instants.
+func (r *Replica) settleSeg(i int) {
+	r.formSeg(i)
+	seg := &r.span[i]
 	iterJ := seg.exec.Energy()
 	r.stats.EnergyJ += iterJ
 	capSec := seg.exec.Duration.Seconds() - seg.baseSec
@@ -1059,21 +1065,8 @@ func (r *Replica) settleSeg(i int) {
 // segment's execution is swapped (not copied) into iterExec so both
 // Segments backings keep being reused.
 func (r *Replica) materializeSeg(i int, now sim.Time, withTimer bool) {
+	r.formSeg(i)
 	seg := &r.span[i]
-	if i >= r.spanFormed {
-		for _, s := range r.running {
-			s.steps = seg.stride
-			r.reserveKV(s, seg.stride)
-		}
-		r.noteHighWater(seg.start)
-		r.spanFormed = i + 1
-	}
-	if i >= r.spanLaunched {
-		r.stats.Batches++
-		r.stats.DecodeTokens += int64(r.spanSeqs * seg.stride)
-		r.batchCtr.Inc()
-		r.spanLaunched = i + 1
-	}
 	r.dev.SetMemUsedGB(seg.memGB)
 	r.iterActive = true
 	r.iterPhase = seg.phase
@@ -1121,17 +1114,10 @@ func (r *Replica) breakSpan(now sim.Time) {
 	r.span = nil
 }
 
-// uncappedExec times a phase with the device's clock lock, brake, and
-// power cap all released — the DVFS counterfactual for cap attribution.
-// Device knobs are restored before returning, so the run is observably
-// pure.
-func (r *Replica) uncappedExec(phase gpu.Phase) gpu.Exec {
-	var e gpu.Exec
-	r.uncappedExecInto(phase, &e)
-	return e
-}
-
-// uncappedExecInto is uncappedExec into a caller-owned execution.
+// uncappedExecInto times a phase into a caller-owned execution with the
+// device's clock lock, brake, and power cap all released — the DVFS
+// counterfactual for cap attribution. Device knobs are restored before
+// returning, so the run is observably pure.
 func (r *Replica) uncappedExecInto(phase gpu.Phase, e *gpu.Exec) {
 	lock, brake, cap := r.dev.LockedClock(), r.dev.Brake(), r.dev.PowerCap()
 	r.dev.LockClock(0)

@@ -3,37 +3,22 @@ package serve
 import (
 	"fmt"
 
+	"polca/internal/obs"
 	"polca/internal/workload"
 )
 
-// Endpoint is one routable replica plus the snapshot the policies decide
-// from: the sequences in flight (waiting plus running), the KV-cache
-// occupancy fraction, and the SM-clock lock currently applied to its
-// server (0 = uncapped). Routers read only the value fields — never Rep —
-// so a recorded snapshot can be replayed against any router offline with
-// Rep left nil; the live dispatch path fills the fields from Rep and keeps
-// Rep for the subsequent Enqueue.
-type Endpoint struct {
-	Rep       *Replica
-	Load      int
-	KVFrac    float64
-	CappedMHz float64
-}
-
-// Snapshot fills the decision fields from the live replica.
-func (e *Endpoint) Snapshot() {
-	e.Load = e.Rep.Load()
-	e.KVFrac = e.Rep.KVFrac()
-}
-
-// Router picks a replica for an arriving request. Implementations must be
-// deterministic — ties break on the lowest endpoint index, and no policy
+// Router picks a replica for an arriving request from the candidates'
+// snapshots: in-flight sequences (waiting plus running), KV-cache
+// occupancy, and the applied SM-clock lock (0 = uncapped). The snapshot is
+// the decision log's obs.RouteCandidate, so the live row and an offline
+// replay hand routers the same values. Implementations must be
+// deterministic — ties break on the lowest candidate index, and no policy
 // draws randomness — so serve-mode runs stay byte-identical across reruns.
 type Router interface {
 	Name() string
-	// Pick returns the index into eps to route the request to, or -1 if
-	// eps is empty.
-	Pick(eps []Endpoint, req workload.Request) int
+	// Pick returns the index into cands to route the request to, or -1 if
+	// cands is empty.
+	Pick(cands []obs.RouteCandidate, req workload.Request) int
 }
 
 // RouterNames lists the available policies in a stable order.
@@ -58,16 +43,16 @@ func NewRouter(name string) (Router, error) {
 	return nil, fmt.Errorf("serve: unknown router %q (have %v)", name, RouterNames())
 }
 
-// roundRobin cycles through the endpoints regardless of load.
+// roundRobin cycles through the candidates regardless of load.
 type roundRobin struct{ next int }
 
 func (r *roundRobin) Name() string { return "round-robin" }
 
-func (r *roundRobin) Pick(eps []Endpoint, _ workload.Request) int {
-	if len(eps) == 0 {
+func (r *roundRobin) Pick(cands []obs.RouteCandidate, _ workload.Request) int {
+	if len(cands) == 0 {
 		return -1
 	}
-	i := r.next % len(eps)
+	i := r.next % len(cands)
 	r.next = i + 1
 	return i
 }
@@ -78,10 +63,10 @@ type leastQueue struct{}
 
 func (leastQueue) Name() string { return "least-queue" }
 
-func (leastQueue) Pick(eps []Endpoint, _ workload.Request) int {
+func (leastQueue) Pick(cands []obs.RouteCandidate, _ workload.Request) int {
 	best := -1
-	for i := range eps {
-		if best < 0 || eps[i].Load < eps[best].Load {
+	for i := range cands {
+		if best < 0 || cands[i].Load < cands[best].Load {
 			best = i
 		}
 	}
@@ -95,10 +80,10 @@ type leastKV struct{}
 
 func (leastKV) Name() string { return "least-kv" }
 
-func (leastKV) Pick(eps []Endpoint, _ workload.Request) int {
+func (leastKV) Pick(cands []obs.RouteCandidate, _ workload.Request) int {
 	best := -1
-	for i := range eps {
-		if best < 0 || eps[i].KVFrac < eps[best].KVFrac {
+	for i := range cands {
+		if best < 0 || cands[i].KVFrac < cands[best].KVFrac {
 			best = i
 		}
 	}
@@ -115,15 +100,15 @@ type powerAware struct{}
 
 func (powerAware) Name() string { return "power-aware" }
 
-func (powerAware) Pick(eps []Endpoint, req workload.Request) int {
+func (powerAware) Pick(cands []obs.RouteCandidate, req workload.Request) int {
 	wantCapped := req.Priority == workload.Low
 	best, bestPreferred := -1, false
-	for i := range eps {
-		preferred := (eps[i].CappedMHz > 0) == wantCapped
+	for i := range cands {
+		preferred := (cands[i].CappedMHz > 0) == wantCapped
 		switch {
 		case best < 0,
 			preferred && !bestPreferred,
-			preferred == bestPreferred && eps[i].Load < eps[best].Load:
+			preferred == bestPreferred && cands[i].Load < cands[best].Load:
 			best, bestPreferred = i, preferred
 		}
 	}
@@ -134,16 +119,16 @@ func (powerAware) Pick(eps []Endpoint, req workload.Request) int {
 // that, the requests of one shared-prefix group — on the same replica, so
 // the carried context's KV pages land where earlier turns already warmed
 // them (vLLM-style prefix-cache locality). The key hashes onto the
-// endpoint set, which is stable while the pool is healthy; requests with
+// candidate set, which is stable while the pool is healthy; requests with
 // no session or prefix structure (legacy traffic, retries after failover
 // reshuffles) fall back to least-queue. Deterministic: the hash depends
-// only on the request, ties on the endpoint order.
+// only on the request, ties on the candidate order.
 type sessionAffinity struct{}
 
 func (sessionAffinity) Name() string { return "session-affinity" }
 
-func (sessionAffinity) Pick(eps []Endpoint, req workload.Request) int {
-	if len(eps) == 0 {
+func (sessionAffinity) Pick(cands []obs.RouteCandidate, req workload.Request) int {
+	if len(cands) == 0 {
 		return -1
 	}
 	key := uint64(req.Session)
@@ -151,8 +136,8 @@ func (sessionAffinity) Pick(eps []Endpoint, req workload.Request) int {
 		key = uint64(req.PrefixGroup)
 	}
 	if key == 0 || req.Retry > 0 {
-		return leastQueue{}.Pick(eps, req)
+		return leastQueue{}.Pick(cands, req)
 	}
 	// Fibonacci hashing spreads consecutive session ids uniformly.
-	return int((key * 0x9E3779B97F4A7C15 >> 33) % uint64(len(eps)))
+	return int((key * 0x9E3779B97F4A7C15 >> 33) % uint64(len(cands)))
 }
