@@ -6,7 +6,9 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | polca-bench -o BENCH_N.json
 //	    Parse benchmark output (stdin or a file argument) and emit a
-//	    polca-bench/v1 JSON artifact.
+//	    polca-bench/v2 JSON artifact: v1's results plus the identity of
+//	    the machine they were measured on (CPU model, GOMAXPROCS, Go
+//	    version; GOARCH was already recorded).
 //
 //	polca-bench -compare OLD.json NEW.json
 //	    Compare two artifacts. An allocs/op increase on any shared
@@ -15,10 +17,13 @@
 //	    CI runners where wall time is not trustworthy but allocation
 //	    counts are deterministic). A benchmark present in OLD but missing
 //	    from NEW fails: the trajectory must not silently lose coverage.
+//	    When the two artifacts name different machines, or one of them (a
+//	    v1 artifact) names none, a warning says the ns/op deltas may
+//	    compare hardware rather than code.
 //
 //	polca-bench -check FILE.json [FILE2.json ...]
-//	    Validate artifacts against the schema; used by `make ci` so a
-//	    committed BENCH_*.json can never rot unnoticed.
+//	    Validate artifacts against their schema (v1 or v2); used by
+//	    `make ci` so a committed BENCH_*.json can never rot unnoticed.
 //
 //	polca-bench -require Name1,Name2 [bench-output.txt]
 //	    Fail unless every named benchmark appears in the output; guards
@@ -33,18 +38,27 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// schemaV1 identifies the artifact format. Bump only with a new reader.
-const schemaV1 = "polca-bench/v1"
+// The artifact formats this tool reads. It writes schemaV2; v1 artifacts
+// (BENCH_6–9) stay readable and comparable. Bump only with a new reader.
+const (
+	schemaV1 = "polca-bench/v1"
+	schemaV2 = "polca-bench/v2"
+)
+
+// cpuinfoPath is where the emitter reads the CPU model on Linux.
+const cpuinfoPath = "/proc/cpuinfo"
 
 // Benchmark is one `go test -bench` result row.
 type Benchmark struct {
@@ -58,16 +72,31 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
+// Machine identifies the host an artifact was measured on (v2). With
+// GOARCH it is what -compare checks before trusting an ns/op delta.
+type Machine struct {
+	// CPU is the processor model: /proc/cpuinfo's "model name" where that
+	// file exists, else the "cpu:" header `go test -bench` prints.
+	CPU string `json:"cpu"`
+	// GOMAXPROCS is the benchmarks' parallelism, from the -P suffix of
+	// their names (no suffix means 1).
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// GoVersion is the toolchain that built this tool; under `go run`, as
+	// in the Makefile, the same one that ran the benchmarks.
+	GoVersion string `json:"go_version"`
+}
+
 // Artifact is the versioned benchmark snapshot committed as BENCH_N.json.
 // BaselineRef/Baseline are optional provenance: the pre-change numbers the
 // snapshot was measured against, kept inside the artifact so the
 // before/after story travels with it. The emitter never fills them; they
 // are added by hand (or a future flag) when a snapshot documents a
-// perf campaign.
+// perf campaign. Machine is required in v2 and absent in v1.
 type Artifact struct {
 	Schema      string      `json:"schema"`
 	Goos        string      `json:"goos,omitempty"`
 	Goarch      string      `json:"goarch,omitempty"`
+	Machine     *Machine    `json:"machine,omitempty"`
 	Benchmarks  []Benchmark `json:"benchmarks"`
 	BaselineRef string      `json:"baseline_ref,omitempty"`
 	Baseline    []Benchmark `json:"baseline,omitempty"`
@@ -146,6 +175,9 @@ func cli(args []string, out, errw io.Writer) int {
 			fmt.Fprintf(errw, "polca-bench: %s: no benchmark results in input\n", name)
 			return 1
 		}
+		if art.Machine.CPU = cpuModel(cpuinfoPath, art.Machine.CPU); art.Machine.CPU == "" {
+			art.Machine.CPU = "unknown"
+		}
 		return writeArtifact(art, *outPath, out, errw)
 	}
 }
@@ -164,11 +196,14 @@ func openInput(args []string) (io.ReadCloser, string, error) {
 	}
 }
 
-// parseBenchOutput folds `go test -bench` text into an Artifact. Benchmark
-// names must be unique across packages — comparisons are keyed by name, so
-// a duplicate would make the trajectory ambiguous.
+// parseBenchOutput folds `go test -bench` text into a v2 Artifact. Its
+// machine's CPU is the output's "cpu:" header (emission prefers
+// /proc/cpuinfo), its GOMAXPROCS the first result's -P suffix, its Go
+// version this binary's. Benchmark names must be unique across packages —
+// comparisons are keyed by name, so a duplicate would make the trajectory
+// ambiguous.
 func parseBenchOutput(r io.Reader) (*Artifact, error) {
-	art := &Artifact{Schema: schemaV1}
+	art := &Artifact{Schema: schemaV2, Machine: &Machine{GoVersion: runtime.Version()}}
 	seen := map[string]string{} // name → pkg
 	pkg := ""
 	data, err := io.ReadAll(r)
@@ -187,6 +222,9 @@ func parseBenchOutput(r io.Reader) (*Artifact, error) {
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = strings.TrimPrefix(line, "pkg: ")
 			continue
+		case strings.HasPrefix(line, "cpu: "):
+			art.Machine.CPU = strings.TrimPrefix(line, "cpu: ")
+			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
@@ -196,11 +234,14 @@ func parseBenchOutput(r io.Reader) (*Artifact, error) {
 		if len(fields) < 4 || len(fields)%2 != 0 {
 			continue // e.g. the bare "BenchmarkName" echo line under -v
 		}
-		name := fields[0]
+		name, procs := fields[0], 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if p, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], p
 			}
+		}
+		if len(art.Benchmarks) == 0 {
+			art.Machine.GOMAXPROCS = procs
 		}
 		if prev, dup := seen[name]; dup {
 			return nil, fmt.Errorf("line %d: duplicate benchmark %s (in %s and %s)", ln+1, name, prev, pkg)
@@ -233,6 +274,27 @@ func parseBenchOutput(r io.Reader) (*Artifact, error) {
 	}
 	sort.Slice(art.Benchmarks, func(i, j int) bool { return art.Benchmarks[i].Name < art.Benchmarks[j].Name })
 	return art, nil
+}
+
+// cpuModel returns the first "model name" in the cpuinfo file at path, or
+// fallback when the file is missing or names no model (non-Linux hosts,
+// and Linux architectures whose cpuinfo has no such field).
+func cpuModel(path, fallback string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return fallback
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		key, val, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			if v := strings.TrimSpace(val); v != "" {
+				return v
+			}
+		}
+	}
+	return fallback
 }
 
 func writeArtifact(art *Artifact, path string, out, errw io.Writer) int {
@@ -275,10 +337,21 @@ func checkArtifact(path string) error {
 	return err
 }
 
-// validate enforces the v1 schema invariants.
+// validate enforces the v1 and v2 schema invariants: v2 names its machine,
+// v1 predates machine identity and carries none.
 func validate(art *Artifact) error {
-	if art.Schema != schemaV1 {
-		return fmt.Errorf("schema %q, want %q", art.Schema, schemaV1)
+	switch art.Schema {
+	case schemaV1:
+		if art.Machine != nil {
+			return fmt.Errorf("%s artifact carries a machine; machine identity is %s", schemaV1, schemaV2)
+		}
+	case schemaV2:
+		m := art.Machine
+		if m == nil || m.CPU == "" || m.GOMAXPROCS <= 0 || m.GoVersion == "" {
+			return fmt.Errorf("%s artifact needs a machine with cpu, gomaxprocs and go_version", schemaV2)
+		}
+	default:
+		return fmt.Errorf("schema %q, want %q or %q", art.Schema, schemaV1, schemaV2)
 	}
 	if len(art.Benchmarks) == 0 {
 		return fmt.Errorf("artifact has no benchmarks")
@@ -315,6 +388,9 @@ func runCompare(oldPath, newPath string, threshold float64, advisoryTime bool, o
 	if err != nil {
 		fmt.Fprintf(errw, "polca-bench: %s: %v\n", newPath, err)
 		return 1
+	}
+	if warn := machineWarning(oldPath, oldArt, newPath, newArt); warn != "" {
+		fmt.Fprintln(out, "WARN: "+warn)
 	}
 	newBy := map[string]Benchmark{}
 	for _, b := range newArt.Benchmarks {
@@ -359,6 +435,32 @@ func runCompare(oldPath, newPath string, threshold float64, advisoryTime bool, o
 		fmt.Fprintf(out, "compare: %s vs %s: no regressions\n", oldPath, newPath)
 	}
 	return code
+}
+
+// machineWarning explains why two artifacts' ns/op may not be comparable:
+// they name different machines, or one names none. It returns "" when both
+// name the same machine.
+func machineWarning(oldPath string, oldArt *Artifact, newPath string, newArt *Artifact) string {
+	describe := func(a *Artifact) string {
+		m := a.Machine
+		return fmt.Sprintf("%s, %s, GOMAXPROCS=%d, %s", m.CPU, a.Goarch, m.GOMAXPROCS, m.GoVersion)
+	}
+	switch {
+	case oldArt.Machine == nil || newArt.Machine == nil:
+		var unnamed []string
+		if oldArt.Machine == nil {
+			unnamed = append(unnamed, oldPath)
+		}
+		if newArt.Machine == nil {
+			unnamed = append(unnamed, newPath)
+		}
+		return fmt.Sprintf("no machine recorded in %s (%s); ns/op deltas may compare different hardware",
+			strings.Join(unnamed, " and "), schemaV1)
+	case *oldArt.Machine != *newArt.Machine || oldArt.Goarch != newArt.Goarch:
+		return fmt.Sprintf("machines differ: %s measured on %s; %s on %s; ns/op deltas compare different hardware",
+			oldPath, describe(oldArt), newPath, describe(newArt))
+	}
+	return ""
 }
 
 // requireNames fails unless every comma-separated name parsed out of the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,7 @@ import (
 const sampleOutput = `goos: linux
 goarch: amd64
 pkg: polca
+cpu: Intel(R) Xeon(R) CPU @ 2.20GHz
 BenchmarkEngine-4   	85639108	        13.53 ns/op	       0 B/op	       0 allocs/op
 BenchmarkServeDay-4 	       3	 972072031 ns/op	         0.972 wall_s/day	 1966133 events/s	42528192 B/op	   34490 allocs/op
 PASS
@@ -32,8 +34,12 @@ func parseSample(t *testing.T) *Artifact {
 
 func TestParseBenchOutput(t *testing.T) {
 	art := parseSample(t)
-	if art.Schema != schemaV1 || art.Goos != "linux" || art.Goarch != "amd64" {
+	if art.Schema != schemaV2 || art.Goos != "linux" || art.Goarch != "amd64" {
 		t.Errorf("header = %q/%q/%q", art.Schema, art.Goos, art.Goarch)
+	}
+	if m := art.Machine; m == nil || m.CPU != "Intel(R) Xeon(R) CPU @ 2.20GHz" ||
+		m.GOMAXPROCS != 4 || m.GoVersion != runtime.Version() {
+		t.Errorf("machine = %+v", art.Machine)
 	}
 	if len(art.Benchmarks) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3", len(art.Benchmarks))
@@ -97,7 +103,7 @@ func TestEmitCheckRoundTrip(t *testing.T) {
 	}
 	// Corrupt the schema tag; -check must fail.
 	data, _ := os.ReadFile(outJSON)
-	bad := bytes.Replace(data, []byte(schemaV1), []byte("polca-bench/v999"), 1)
+	bad := bytes.Replace(data, []byte(schemaV2), []byte("polca-bench/v999"), 1)
 	if err := os.WriteFile(outJSON, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -247,5 +253,121 @@ func TestZeroAlloc(t *testing.T) {
 	errw.Reset()
 	if code := cli([]string{"-require", "BenchmarkEngine", "-zero-alloc", "BenchmarkEngine", in}, &out, &errw); code != 0 {
 		t.Fatalf("exit %d: %s", code, errw.String())
+	}
+}
+
+func TestParseGOMAXPROCSOne(t *testing.T) {
+	// go test omits the -P suffix when GOMAXPROCS is 1.
+	art, err := parseBenchOutput(strings.NewReader("BenchmarkX 10 5.0 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Machine.GOMAXPROCS != 1 || art.Benchmarks[0].Name != "BenchmarkX" {
+		t.Errorf("machine %+v, name %q", art.Machine, art.Benchmarks[0].Name)
+	}
+}
+
+func TestCPUModel(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cpuinfo")
+	info := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) CPU @ 2.20GHz\n\n" +
+		"processor\t: 1\nmodel name\t: Intel(R) Xeon(R) CPU @ 2.20GHz\n"
+	if err := os.WriteFile(path, []byte(info), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := cpuModel(path, "fallback"); got != "Intel(R) Xeon(R) CPU @ 2.20GHz" {
+		t.Errorf("cpuModel = %q", got)
+	}
+	if got := cpuModel(filepath.Join(dir, "absent"), "fallback"); got != "fallback" {
+		t.Errorf("missing cpuinfo: cpuModel = %q, want the fallback", got)
+	}
+	noModel := filepath.Join(dir, "arm")
+	if err := os.WriteFile(noModel, []byte("processor\t: 0\nBogoMIPS\t: 50.00\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := cpuModel(noModel, "fallback"); got != "fallback" {
+		t.Errorf("cpuinfo without a model: cpuModel = %q, want the fallback", got)
+	}
+}
+
+func TestCheckSchemas(t *testing.T) {
+	dir := t.TempDir()
+	v2 := parseSample(t)
+	v1 := *v2
+	v1.Schema, v1.Machine = schemaV1, nil
+	noMachine := *v2
+	noMachine.Machine = nil
+	v1WithMachine := *v2
+	v1WithMachine.Schema = schemaV1
+	for _, c := range []struct {
+		name string
+		art  *Artifact
+		ok   bool
+	}{
+		{"v2", v2, true},
+		{"v1", &v1, true},
+		{"v2-no-machine", &noMachine, false},
+		{"v1-with-machine", &v1WithMachine, false},
+	} {
+		path := writeArtifactFile(t, dir, c.name+".json", c.art)
+		var out, errw bytes.Buffer
+		if code := cli([]string{"-check", path}, &out, &errw); (code == 0) != c.ok {
+			t.Errorf("%s: check exit %d, want ok=%v: %s", c.name, code, c.ok, errw.String())
+		}
+	}
+}
+
+func TestCompareMachines(t *testing.T) {
+	dir := t.TempDir()
+	v2 := parseSample(t)
+	v2Path := writeArtifactFile(t, dir, "v2.json", v2)
+	v1 := *v2
+	v1.Schema, v1.Machine = schemaV1, nil
+	v1Path := writeArtifactFile(t, dir, "v1.json", &v1)
+	other := *v2
+	m := *v2.Machine
+	m.CPU, m.GOMAXPROCS = "AMD EPYC 7B13", 8
+	other.Machine = &m
+	otherPath := writeArtifactFile(t, dir, "other.json", &other)
+
+	compare := func(oldPath, newPath string) string {
+		t.Helper()
+		var out, errw bytes.Buffer
+		if code := cli([]string{"-compare", oldPath, newPath}, &out, &errw); code != 0 {
+			t.Fatalf("compare %s %s exited %d: %s", oldPath, newPath, code, errw.String())
+		}
+		if !strings.Contains(out.String(), "no regressions") {
+			t.Errorf("compare %s %s did not compare the benchmarks:\n%s", oldPath, newPath, out.String())
+		}
+		return out.String()
+	}
+	if out := compare(v2Path, v2Path); strings.Contains(out, "WARN") {
+		t.Errorf("same machine warned:\n%s", out)
+	}
+	out := compare(v2Path, otherPath)
+	if !strings.Contains(out, "WARN: machines differ") || !strings.Contains(out, "AMD EPYC 7B13") ||
+		!strings.Contains(out, "GOMAXPROCS=8") {
+		t.Errorf("different machines, want a warning naming both:\n%s", out)
+	}
+	// A v1 artifact names no machine: the mixed compare still gates the
+	// benchmarks and says which side it cannot place.
+	for _, pair := range [][2]string{{v1Path, v2Path}, {v2Path, v1Path}} {
+		out := compare(pair[0], pair[1])
+		if !strings.Contains(out, "WARN: no machine recorded in "+v1Path) {
+			t.Errorf("v1/v2 mixed compare %v, want a warning naming %s:\n%s", pair, v1Path, out)
+		}
+	}
+	leaky := v1
+	leaky.Benchmarks = append([]Benchmark(nil), v1.Benchmarks...)
+	for i := range leaky.Benchmarks {
+		leaky.Benchmarks[i].AllocsPerOp++
+	}
+	leakyPath := writeArtifactFile(t, dir, "leaky-v1.json", &leaky)
+	var outb, errw bytes.Buffer
+	if code := cli([]string{"-compare", leakyPath, v2Path}, &outb, &errw); code != 0 {
+		t.Errorf("v1 baseline with more allocs should pass against v2: exit %d: %s", code, errw.String())
+	}
+	if code := cli([]string{"-compare", v2Path, leakyPath}, &outb, &errw); code != 1 {
+		t.Errorf("allocs/op increase from v2 to v1 should fail: exit %d", code)
 	}
 }

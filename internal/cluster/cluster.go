@@ -498,6 +498,16 @@ func (m Metrics) Throughput(p workload.Priority, poolServers int) float64 {
 
 // node is one simulated server.
 type node struct {
+	// power is the slot node's last server power from nodePower, which
+	// holds while the sim time is before powerUntil: the end of the
+	// current exec segment, or forever for the last segment and for an
+	// idle node. Serve and dead nodes leave powerUntil at 0. Every change
+	// of active, its exec or its phaseStart, and every death, zeroes
+	// powerUntil. The pair leads the struct so the telemetry sub-tick,
+	// which reads it for every node, touches one cache line per node.
+	power      float64
+	powerUntil sim.Time
+
 	idx int
 	pri workload.Priority
 	srv *server.Server
@@ -519,7 +529,25 @@ type node struct {
 	retryWait   sim.Time
 	retryDead   bool
 
+	// active is the request the node is executing (nil while idle). It
+	// points at slot, the node's one reused request record, so starting a
+	// request allocates nothing.
 	active *activeReq
+	slot   activeReq
+
+	// phaseDoneFn and oobLandFn are the node's phase-completion and
+	// OOB-landing handlers, bound once at construction so that scheduling
+	// them allocates no closure. oobTarget and oobDoomed describe the
+	// command in flight; cmdInFlight allows one at a time.
+	phaseDoneFn sim.Handler
+	oobLandFn   sim.Handler
+	oobTarget   float64
+	oobDoomed   bool
+
+	// svcSec is the pool mix's mean service time at the node's applied
+	// lock (serviceAtLock), which setAppliedLock refreshes; poolSlowdown
+	// sums it over the pool.
+	svcSec float64
 
 	// rep is the node's serving replica in serve mode (nil in slot mode);
 	// it replaces active as the source of busy time and power.
@@ -548,9 +576,11 @@ type node struct {
 // window or watchdog drain) while finishing accepted work.
 func (n *node) draining() bool { return n.drainMaint || n.drainWd }
 
-// activeReq tracks the request a node is executing.
+// activeReq tracks the request a node is executing. remaining slices
+// phases, and exec's segment buffer is reused from request to request.
 type activeReq struct {
 	req        workload.Request
+	phases     [2]gpu.Phase
 	remaining  []gpu.Phase
 	exec       gpu.Exec
 	phaseStart sim.Time
@@ -564,10 +594,13 @@ type Row struct {
 	eng     *sim.Engine
 	ctrl    Controller
 	nodes   []*node
-	pools   map[workload.Priority][]*node
-	frontQ  map[workload.Priority][]workload.Request
-	busy    map[workload.Priority]int
+	pools   [2][]*node // indexed by workload.Priority
+	frontQ  [2][]workload.Request
+	busy    [2]int
 	sampler *workload.Sampler
+
+	// idle is tryAdmit's reused scratch list of admissible nodes.
+	idle []*node
 
 	// Admission gate state: the fleet balancer routes this row its share
 	// of traffic, so the busy-server count tracks the offered-load curve
@@ -576,6 +609,10 @@ type Row struct {
 	svcEffSec   float64                                   // aggregate S at full clocks
 	svcBase     map[workload.Priority]float64             // per-pool S at full clocks
 	svcAtLock   map[workload.Priority]map[float64]float64 // per-pool S per lock MHz
+	// slowdown caches poolSlowdown per pool; slowdownOK is cleared by
+	// setAppliedLock, the one writer of a node's applied lock.
+	slowdown   [2]float64
+	slowdownOK [2]bool
 
 	dispatchRNG *rand.Rand
 	oobRNG      *rand.Rand
@@ -681,9 +718,6 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 		cfg:         cfg,
 		eng:         eng,
 		ctrl:        ctrl,
-		pools:       map[workload.Priority][]*node{},
-		frontQ:      map[workload.Priority][]workload.Request{},
-		busy:        map[workload.Priority]int{},
 		sampler:     workload.NewSampler(cfg.Classes, eng.Rand("workload")),
 		dispatchRNG: eng.Rand("dispatch"),
 		oobRNG:      eng.Rand("oob"),
@@ -709,6 +743,8 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 		n := &node{idx: i, pri: pri, srv: s, dev: s.GPUs()[0]}
 		n.gpuIdleW = n.dev.Spec().IdleWatts
 		n.gpuScale = float64(s.Spec().GPUCount) * cfg.PowerIntensity
+		n.phaseDoneFn = func(t sim.Time) { r.phaseDone(n, t) }
+		n.oobLandFn = func(t sim.Time) { r.oobLand(n, t) }
 		r.nodes = append(r.nodes, n)
 		r.pools[pri] = append(r.pools[pri], n)
 	}
@@ -724,6 +760,9 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 	r.svcBase = map[workload.Priority]float64{workload.Low: sLow, workload.High: sHigh}
 	r.svcAtLock = map[workload.Priority]map[float64]float64{
 		workload.Low: {0: sLow}, workload.High: {0: sHigh},
+	}
+	for _, n := range r.nodes {
+		n.svcSec = r.serviceAtLock(n.pri, 0)
 	}
 	r.svcEffSec = cfg.Shape().MeanServiceSec
 	if o := eng.Observer(); o != nil {
@@ -852,17 +891,17 @@ func (r *Row) Run(arrivals trace.RatePlan) *Metrics {
 	horizon := arrivals.Horizon()
 	arrRNG := r.eng.Rand("arrivals")
 
-	// Online arrival generation: one pending event at a time.
-	var scheduleNext func(after sim.Time)
-	scheduleNext = func(after sim.Time) {
-		next, ok := arrivals.NextAfter(after, arrRNG)
-		if !ok {
-			return
+	// Online arrival generation: one pending event at a time, all of them
+	// dispatched to one handler.
+	var onArrival sim.Handler
+	scheduleNext := func(after sim.Time) {
+		if next, ok := arrivals.NextAfter(after, arrRNG); ok {
+			r.eng.At(next, onArrival)
 		}
-		r.eng.At(next, func(now sim.Time) {
-			r.arrive(now)
-			scheduleNext(now)
-		})
+	}
+	onArrival = func(now sim.Time) {
+		r.arrive(now)
+		scheduleNext(now)
 	}
 	scheduleNext(0)
 	return r.runTo(horizon)
@@ -1072,6 +1111,7 @@ func (r *Row) updateServerFaults(now sim.Time) {
 		}
 		if dead {
 			n.dead = true
+			n.powerUntil = 0
 			r.inj.CountNodeDeath()
 			r.metrics.NodeDeaths++
 			if n.rep != nil {
@@ -1086,8 +1126,7 @@ func (r *Row) updateServerFaults(now sim.Time) {
 			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindNodeDeath, Server: int32(n.idx), Pool: int8(n.pri)})
 		} else {
 			n.dead = false
-			n.appliedLock = 0
-			n.dev.LockClock(0)
+			r.setAppliedLock(n, 0)
 			n.dev.SetBrake(r.braked)
 			n.retryTarget, n.retryCount, n.retryWait, n.retryDead = 0, 0, 0, false
 			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindNodeRevive, Server: int32(n.idx), Pool: int8(n.pri)})
@@ -1170,18 +1209,33 @@ func (r *Row) admitLimit(p workload.Priority, now sim.Time) int {
 }
 
 // poolSlowdown returns the pool's mean service-time stretch under the
-// currently applied locks (1.0 when uncapped).
+// currently applied locks (1.0 when uncapped). It is recomputed only after
+// setAppliedLock changed a lock in the pool.
 func (r *Row) poolSlowdown(p workload.Priority) float64 {
-	base := r.svcBase[p]
-	if base <= 0 {
-		return 1
+	if r.slowdownOK[p] {
+		return r.slowdown[p]
 	}
-	var sum float64
-	pool := r.pools[p]
-	for _, n := range pool {
-		sum += r.serviceAtLock(p, n.appliedLock)
+	slow := 1.0
+	if base := r.svcBase[p]; base > 0 {
+		var sum float64
+		pool := r.pools[p]
+		for _, n := range pool {
+			sum += n.svcSec
+		}
+		slow = sum / float64(len(pool)) / base
 	}
-	return sum / float64(len(pool)) / base
+	r.slowdown[p], r.slowdownOK[p] = slow, true
+	return slow
+}
+
+// setAppliedLock is the one writer of a node's applied SM-clock lock: it
+// records the lock and its service time, locks the node's device clock
+// and invalidates the pool's cached slowdown.
+func (r *Row) setAppliedLock(n *node, mhz float64) {
+	n.appliedLock = mhz
+	n.svcSec = r.serviceAtLock(n.pri, mhz)
+	n.dev.LockClock(mhz)
+	r.slowdownOK[n.pri] = false
 }
 
 // serviceAtLock returns the cached mean service time for the pool's mix at
@@ -1231,17 +1285,20 @@ func (r *Row) tryAdmit(p workload.Priority, now sim.Time) {
 	}
 	limit := r.admitLimit(p, now)
 	for len(r.frontQ[p]) > 0 && r.busy[p] < limit {
-		var idle []*node
+		idle := r.idle[:0]
 		for _, n := range r.pools[p] {
 			if n.active == nil && !n.dead && !n.draining() {
 				idle = append(idle, n)
 			}
 		}
+		r.idle = idle
 		if len(idle) == 0 {
 			return
 		}
-		req := r.frontQ[p][0]
-		r.frontQ[p] = r.frontQ[p][1:]
+		q := r.frontQ[p]
+		req := q[0]
+		copy(q, q[1:])
+		r.frontQ[p] = q[:len(q)-1]
 		r.start(idle[r.dispatchRNG.Intn(len(idle))], now, req)
 	}
 }
@@ -1258,18 +1315,18 @@ func (r *Row) start(n *node, now sim.Time, req workload.Request) {
 	if err != nil {
 		panic(err) // sizes come from validated classes
 	}
-	phases := p.Phases()
+	a := &n.slot
+	a.req, a.started = req, now
+	a.remaining = p.AppendPhases(a.phases[:0])
 	if f := r.inj.SlowFactor(n.idx); f > 1 {
 		// Straggler: the node takes f× the work per request (same power
 		// profile, stretched), like a host with a failing NVLink or thermal
 		// throttling the fleet hasn't drained yet.
-		scaled := make([]gpu.Phase, len(phases))
-		for i, ph := range phases {
-			scaled[i] = ph.Scale(f)
+		for i := range a.remaining {
+			a.remaining[i] = a.remaining[i].Scale(f)
 		}
-		phases = scaled
 	}
-	n.active = &activeReq{req: req, remaining: phases, started: now}
+	n.active = a
 	r.busy[req.Priority]++
 	r.startPhase(n, now)
 }
@@ -1278,17 +1335,15 @@ func (r *Row) start(n *node, now sim.Time, req workload.Request) {
 // node's current device settings.
 func (r *Row) startPhase(n *node, now sim.Time) {
 	a := n.active
+	n.powerUntil = 0
 	for len(a.remaining) > 0 {
-		exec := n.dev.Run(a.remaining[0])
-		if exec.Duration <= 0 {
+		n.dev.RunInto(a.remaining[0], &a.exec)
+		if a.exec.Duration <= 0 {
 			a.remaining = a.remaining[1:]
 			continue
 		}
-		a.exec = exec
 		a.phaseStart = now
-		a.timer = r.eng.AfterCancelable(exec.Duration, func(t sim.Time) {
-			r.phaseDone(n, t)
-		})
+		a.timer = r.eng.AfterCancelable(a.exec.Duration, n.phaseDoneFn)
 		return
 	}
 	r.complete(n, now)
@@ -1309,6 +1364,7 @@ func (r *Row) phaseDone(n *node, now sim.Time) {
 func (r *Row) complete(n *node, now sim.Time) {
 	a := n.active
 	n.active = nil
+	n.powerUntil = 0
 	r.completeRequest(now, int32(n.idx), &a.req, a.started)
 	r.busy[a.req.Priority]--
 	r.tryAdmit(a.req.Priority, now)
@@ -1364,22 +1420,40 @@ func (r *Row) replan(n *node, now sim.Time) {
 	r.startPhase(n, now)
 }
 
-// nodePower returns the node's current server power draw.
+// nodePower returns the node's current server power draw. A slot node's
+// power is piecewise constant between the segment boundaries of its exec,
+// so it is computed once per segment and served from the node's cache
+// until the segment ends.
 func (r *Row) nodePower(n *node, now sim.Time) float64 {
+	if now < n.powerUntil {
+		return n.power
+	}
+	return r.samplePower(n, now)
+}
+
+// samplePower computes the node's server power at now and, for a live
+// slot node, caches it until its exec segment ends.
+func (r *Row) samplePower(n *node, now sim.Time) float64 {
 	if n.dead {
 		return 0
 	}
-	var gpuW float64
-	switch {
-	case n.rep != nil:
-		gpuW = n.rep.PowerAt(now)
-	case n.active != nil:
-		gpuW = n.active.exec.PowerAt(now - n.active.phaseStart)
-	default:
-		gpuW = n.gpuIdleW
+	if n.rep != nil {
+		gpuW := n.rep.PowerAt(now)
+		gpuW *= n.gpuScale
+		return n.srv.PowerFromGPUs(gpuW)
+	}
+	gpuW := n.gpuIdleW
+	until := sim.Time(math.MaxInt64)
+	if a := n.active; a != nil {
+		c, end := a.exec.SegmentAt(now - a.phaseStart)
+		gpuW = c.PowerWatts
+		if end < math.MaxInt64 {
+			until = a.phaseStart + end
+		}
 	}
 	gpuW *= n.gpuScale
-	return n.srv.PowerFromGPUs(gpuW)
+	n.power, n.powerUntil = n.srv.PowerFromGPUs(gpuW), until
+	return n.power
 }
 
 // instantUtilization returns row power as a fraction of the provisioned
@@ -1461,62 +1535,66 @@ func (r *Row) pumpCommands(now sim.Time) {
 		})
 		// A burst window dooms the command at issue time (it still consumes
 		// the channel for its full flight, like §3.3's silent failures).
-		doomed := r.inj.OOBBurstFailure(now)
+		n.oobTarget = target
+		n.oobDoomed = r.inj.OOBBurstFailure(now)
 		jitter := 0.8 + 0.4*r.oobRNG.Float64()
 		delay := r.inj.OOBLatency(time.Duration(float64(r.cfg.OOBLatency) * jitter))
-		node := n
-		r.eng.After(delay, func(t sim.Time) {
-			node.cmdInFlight = false
-			r.cmdsInFlight--
-			// The baseline failure draw comes first unconditionally so the
-			// oob stream's consumption is identical with injection off.
-			reason := ""
-			switch {
-			case r.oobRNG.Float64() < r.cfg.OOBFailureProb:
-				reason = "silent-failure"
-			case doomed:
-				reason = "burst-failure"
-			case node.dead:
-				reason = "node-dead"
-			}
-			if reason != "" {
-				r.metrics.FailedCommands++
-				r.failedCmdCtr.Inc()
-				r.tracer.Emit(obs.Event{
-					At: t, Kind: obs.KindOOBFail,
-					Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
-					Reason: reason,
-				})
-				r.retryAccounting(node, target, t)
-				return // silent failure; re-issued on a later tick
-			}
-			if r.cfg.DropStaleOOB && node.desiredLock != target {
-				// The desired lock changed while this command was in flight:
-				// applying it would actuate a decision the policy already
-				// revoked (possibly *uncapping* a row the policy wants
-				// capped). Drop it; the pump re-issues the current target.
-				r.metrics.StaleOOBDrops++
-				r.tracer.Emit(obs.Event{
-					At: t, Kind: obs.KindOOBStale,
-					Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
-					Value: node.desiredLock, Reason: "superseded",
-				})
-				return
-			}
-			node.appliedLock = target
-			node.dev.LockClock(target)
-			kind := obs.KindCapApply
-			if target == 0 {
-				kind = obs.KindCapRelease
-			}
-			r.tracer.Emit(obs.Event{
-				At: t, Kind: kind,
-				Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
-			})
-			r.replan(node, t)
-			r.tryAdmit(node.pri, t)
-		})
+		r.eng.After(delay, n.oobLandFn)
 	}
+}
+
+// oobLand lands the node's in-flight OOB command: it fails silently, is
+// dropped as stale, or applies its lock and re-plans the node's work.
+func (r *Row) oobLand(n *node, t sim.Time) {
+	target := n.oobTarget
+	n.cmdInFlight = false
+	r.cmdsInFlight--
+	// The baseline failure draw comes first unconditionally so the oob
+	// stream's consumption is identical with injection off.
+	reason := ""
+	switch {
+	case r.oobRNG.Float64() < r.cfg.OOBFailureProb:
+		reason = "silent-failure"
+	case n.oobDoomed:
+		reason = "burst-failure"
+	case n.dead:
+		reason = "node-dead"
+	}
+	if reason != "" {
+		r.metrics.FailedCommands++
+		r.failedCmdCtr.Inc()
+		r.tracer.Emit(obs.Event{
+			At: t, Kind: obs.KindOOBFail,
+			Server: int32(n.idx), Pool: int8(n.pri), MHz: target,
+			Reason: reason,
+		})
+		r.retryAccounting(n, target, t)
+		return // silent failure; re-issued on a later tick
+	}
+	if r.cfg.DropStaleOOB && n.desiredLock != target {
+		// The desired lock changed while this command was in flight:
+		// applying it would actuate a decision the policy already revoked
+		// (possibly *uncapping* a row the policy wants capped). Drop it;
+		// the pump re-issues the current target.
+		r.metrics.StaleOOBDrops++
+		r.tracer.Emit(obs.Event{
+			At: t, Kind: obs.KindOOBStale,
+			Server: int32(n.idx), Pool: int8(n.pri), MHz: target,
+			Value: n.desiredLock, Reason: "superseded",
+		})
+		return
+	}
+	r.setAppliedLock(n, target)
+	kind := obs.KindCapApply
+	if target == 0 {
+		kind = obs.KindCapRelease
+	}
+	r.tracer.Emit(obs.Event{
+		At: t, Kind: kind,
+		Server: int32(n.idx), Pool: int8(n.pri), MHz: target,
+	})
+	r.replan(n, t)
+	r.tryAdmit(n.pri, t)
 }
 
 // retryAccounting applies the bounded-retry policy after a failed command:

@@ -369,26 +369,73 @@ func (d *Device) Idle(dur time.Duration) Exec {
 	}
 }
 
+// capProbe is phaseTiming followed by countersAt's PowerWatts for one phase
+// on one device, as the power-cap bisection probes it: the terms that do not
+// depend on the clock ratio — the datatype's derated peak throughput, the
+// memory time and the occupancy derate — are computed once, and the spec is
+// read through a pointer. Every expression keeps phaseTiming's and
+// countersAt's operand order, so each probe's power is bit-identical to
+// theirs.
+type capProbe struct {
+	d    *Device
+	p    *Phase
+	effF float64 // p.effFactor()
+	peak float64 // PeakFLOPS × (KernelEfficiency × effF)
+	tm   float64 // memory time, which the clock does not change
+}
+
+func (d *Device) newCapProbe(p *Phase) capProbe {
+	s := &d.spec
+	effF := p.effFactor()
+	return capProbe{
+		d: d, p: p, effF: effF,
+		peak: s.PeakFLOPS(p.DType) * (p.DType.KernelEfficiency() * effF),
+		tm:   p.MemBytes / (s.MemBandwidthGBps * 1e9),
+	}
+}
+
+// power returns the phase's steady-state power at clock ratio r.
+func (c *capProbe) power(r float64) float64 {
+	d, p, s, tm := c.d, c.p, &c.d.spec, c.tm
+	flops := c.peak * r * d.perfVar
+	tc := 0.0
+	if flops > 0 {
+		tc = p.FLOPs / flops
+	}
+	overhead := p.OverheadSeconds / r
+	total := max(tc, tm) + p.CommSeconds + overhead
+	if total <= 0 {
+		return s.IdleWatts
+	}
+	tensorAct := min(max(tc*p.TensorFrac*c.effF/total, 0), 1)
+	smAct := min(max((tc+overhead)/total, 0), 1)
+	memAct := min(max(tm/total, 0), 1)
+	util := min(max((max(tc, tm)+overhead)/total, 0), 1)
+	dyn := math.Pow(r, s.DVFSAlpha) * d.powerVar
+	return s.IdleWatts +
+		dyn*(s.TensorWatts*tensorAct+s.SMWatts*max(smAct-tensorAct, 0)+s.ClockWatts*util) +
+		s.MemWatts*memAct*d.powerVar
+}
+
 // throttleRatioFor returns the largest clock ratio <= maxRatio at which the
 // phase's steady-state power respects the cap. The solution accounts for
 // activity fractions changing as the clock drops (a memory-bound phase
 // becomes no less memory-bound at lower clocks), solved by bisection.
-func (d *Device) throttleRatioFor(p *Phase, maxRatio float64) float64 {
+// hiPower is the phase's power at maxRatio, which the caller has already
+// computed.
+func (d *Device) throttleRatioFor(p *Phase, maxRatio, hiPower float64) float64 {
 	lo := d.spec.MinSMClockMHz / d.spec.MaxSMClockMHz
 	hi := maxRatio
-	powerAt := func(r float64) float64 {
-		total, tc, tm := d.phaseTiming(p, r)
-		return d.countersAt(p, r, total, tc, tm).PowerWatts
-	}
-	if powerAt(hi) <= d.powerCapWatts {
+	if hiPower <= d.powerCapWatts {
 		return hi
 	}
-	if powerAt(lo) > d.powerCapWatts {
+	probe := d.newCapProbe(p)
+	if probe.power(lo) > d.powerCapWatts {
 		return lo
 	}
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if powerAt(mid) > d.powerCapWatts {
+		if probe.power(mid) > d.powerCapWatts {
 			hi = mid
 		} else {
 			lo = mid
@@ -438,7 +485,6 @@ func (d *Device) RunInto(p Phase, e *Exec) {
 	}
 
 	// Cap violated: overshoot segment, then throttled remainder.
-	throttled := d.throttleRatioFor(&p, maxRatio)
 	react := d.spec.CapReactionInterval.Seconds()
 	if fullTotal <= react {
 		// Spike shorter than the limiter's reaction: full overshoot.
@@ -447,6 +493,7 @@ func (d *Device) RunInto(p Phase, e *Exec) {
 		e.Duration = dur
 		return
 	}
+	throttled := d.throttleRatioFor(&p, maxRatio, full.PowerWatts)
 	doneFrac := react / fullTotal // fraction of work done before throttling
 	rest := p.Scale(1 - doneFrac)
 	restTotal, rtc, rtm := d.phaseTiming(&rest, throttled)
@@ -521,17 +568,26 @@ func (e Exec) PeakPower() float64 {
 // execution (the last segment's counters at or past the end; zero Counters
 // for an empty exec).
 func (e Exec) CountersAt(offset time.Duration) Counters {
+	c, _ := e.SegmentAt(offset)
+	return c
+}
+
+// SegmentAt returns the counters CountersAt reports for offset and the
+// offset up to which they hold: the end of offset's segment, or MaxInt64
+// for the last segment (which CountersAt extends past the end) and for an
+// empty exec.
+func (e Exec) SegmentAt(offset time.Duration) (Counters, time.Duration) {
 	if len(e.Segments) == 0 {
-		return Counters{}
+		return Counters{}, math.MaxInt64
 	}
 	var at time.Duration
-	for _, s := range e.Segments {
+	for _, s := range e.Segments[:len(e.Segments)-1] {
 		at += s.Duration
 		if offset < at {
-			return s.Counters
+			return s.Counters, at
 		}
 	}
-	return e.Segments[len(e.Segments)-1].Counters
+	return e.Segments[len(e.Segments)-1].Counters, math.MaxInt64
 }
 
 // PowerAt returns the instantaneous power at the given offset into the

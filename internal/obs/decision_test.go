@@ -204,9 +204,13 @@ func BenchmarkDecisionRecord(b *testing.B) {
 	r := NewDecisionRecorder()
 	tick := sampleTick(2 * time.Second)
 	route, cands := sampleRoute(2 * time.Second)
-	// Warm the arenas to their steady-state capacity, then reset: Reset
-	// keeps capacity, so the timed loop measures the append path alone.
-	for i := 0; i < b.N+1; i++ {
+	// The recorder keeps every record, so the timed loop records in
+	// chunks and resets between them (untimed): memory stays bounded at
+	// one chunk however large b.N grows. Warm the arenas to a chunk's
+	// capacity first; Reset keeps capacity, so the timed loop measures
+	// the append path alone.
+	const chunk = 1 << 16
+	for i := 0; i < min(b.N, chunk)+1; i++ {
 		r.RecordTick(tick)
 		r.RecordRoute(route, cands)
 	}
@@ -214,6 +218,11 @@ func BenchmarkDecisionRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%chunk == 0 {
+			b.StopTimer()
+			r.Reset()
+			b.StartTimer()
+		}
 		r.RecordTick(tick)
 		r.RecordRoute(route, cands)
 	}
