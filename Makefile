@@ -102,9 +102,10 @@ bench-smoke:
 
 # bench-json runs the hot-path set at full benchtime and writes the
 # versioned polca-bench/v2 artifact (BENCH_JSON, default BENCH_new.json).
-# BenchmarkRowHour runs 30 row-hours: the testing harness adds a few
-# allocations per run, and over 30 iterations they cannot move the
-# truncated allocs/op that -compare gates exactly.
+# BenchmarkRowHour runs 30 row-hours of one seed: each allocates the same
+# objects, and over 30 iterations the runtime's few allocations per garbage
+# collection cannot move the truncated allocs/op that -compare gates
+# exactly.
 # Compare against the last committed snapshot with
 #   go run ./cmd/polca-bench -compare BENCH_N.json BENCH_new.json
 # which fails on >15% ns/op regressions and on any allocs/op increase.

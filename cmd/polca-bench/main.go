@@ -38,7 +38,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -57,9 +56,6 @@ const (
 	schemaV2 = "polca-bench/v2"
 )
 
-// cpuinfoPath is where the emitter reads the CPU model on Linux.
-const cpuinfoPath = "/proc/cpuinfo"
-
 // Benchmark is one `go test -bench` result row.
 type Benchmark struct {
 	Name        string  `json:"name"`
@@ -75,8 +71,10 @@ type Benchmark struct {
 // Machine identifies the host an artifact was measured on (v2). With
 // GOARCH it is what -compare checks before trusting an ns/op delta.
 type Machine struct {
-	// CPU is the processor model: /proc/cpuinfo's "model name" where that
-	// file exists, else the "cpu:" header `go test -bench` prints.
+	// CPU is the processor model from the "cpu:" header `go test -bench`
+	// prints (the CPUID brand string, or /proc/cpuinfo's model name), so a
+	// saved output converted elsewhere keeps the measuring host's CPU;
+	// "unknown" when the output has no header.
 	CPU string `json:"cpu"`
 	// GOMAXPROCS is the benchmarks' parallelism, from the -P suffix of
 	// their names (no suffix means 1).
@@ -175,7 +173,7 @@ func cli(args []string, out, errw io.Writer) int {
 			fmt.Fprintf(errw, "polca-bench: %s: no benchmark results in input\n", name)
 			return 1
 		}
-		if art.Machine.CPU = cpuModel(cpuinfoPath, art.Machine.CPU); art.Machine.CPU == "" {
+		if art.Machine.CPU == "" {
 			art.Machine.CPU = "unknown"
 		}
 		return writeArtifact(art, *outPath, out, errw)
@@ -197,11 +195,10 @@ func openInput(args []string) (io.ReadCloser, string, error) {
 }
 
 // parseBenchOutput folds `go test -bench` text into a v2 Artifact. Its
-// machine's CPU is the output's "cpu:" header (emission prefers
-// /proc/cpuinfo), its GOMAXPROCS the first result's -P suffix, its Go
-// version this binary's. Benchmark names must be unique across packages —
-// comparisons are keyed by name, so a duplicate would make the trajectory
-// ambiguous.
+// machine's CPU is the output's "cpu:" header, its GOMAXPROCS the first
+// result's -P suffix, its Go version this binary's. Benchmark names must be
+// unique across packages — comparisons are keyed by name, so a duplicate
+// would make the trajectory ambiguous.
 func parseBenchOutput(r io.Reader) (*Artifact, error) {
 	art := &Artifact{Schema: schemaV2, Machine: &Machine{GoVersion: runtime.Version()}}
 	seen := map[string]string{} // name → pkg
@@ -274,27 +271,6 @@ func parseBenchOutput(r io.Reader) (*Artifact, error) {
 	}
 	sort.Slice(art.Benchmarks, func(i, j int) bool { return art.Benchmarks[i].Name < art.Benchmarks[j].Name })
 	return art, nil
-}
-
-// cpuModel returns the first "model name" in the cpuinfo file at path, or
-// fallback when the file is missing or names no model (non-Linux hosts,
-// and Linux architectures whose cpuinfo has no such field).
-func cpuModel(path, fallback string) string {
-	f, err := os.Open(path)
-	if err != nil {
-		return fallback
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		key, val, ok := strings.Cut(sc.Text(), ":")
-		if ok && strings.TrimSpace(key) == "model name" {
-			if v := strings.TrimSpace(val); v != "" {
-				return v
-			}
-		}
-	}
-	return fallback
 }
 
 func writeArtifact(art *Artifact, path string, out, errw io.Writer) int {

@@ -267,29 +267,6 @@ func TestParseGOMAXPROCSOne(t *testing.T) {
 	}
 }
 
-func TestCPUModel(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cpuinfo")
-	info := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) CPU @ 2.20GHz\n\n" +
-		"processor\t: 1\nmodel name\t: Intel(R) Xeon(R) CPU @ 2.20GHz\n"
-	if err := os.WriteFile(path, []byte(info), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := cpuModel(path, "fallback"); got != "Intel(R) Xeon(R) CPU @ 2.20GHz" {
-		t.Errorf("cpuModel = %q", got)
-	}
-	if got := cpuModel(filepath.Join(dir, "absent"), "fallback"); got != "fallback" {
-		t.Errorf("missing cpuinfo: cpuModel = %q, want the fallback", got)
-	}
-	noModel := filepath.Join(dir, "arm")
-	if err := os.WriteFile(noModel, []byte("processor\t: 0\nBogoMIPS\t: 50.00\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := cpuModel(noModel, "fallback"); got != "fallback" {
-		t.Errorf("cpuinfo without a model: cpuModel = %q, want the fallback", got)
-	}
-}
-
 func TestCheckSchemas(t *testing.T) {
 	dir := t.TempDir()
 	v2 := parseSample(t)

@@ -544,11 +544,6 @@ type node struct {
 	oobTarget   float64
 	oobDoomed   bool
 
-	// svcSec is the pool mix's mean service time at the node's applied
-	// lock (serviceAtLock), which setAppliedLock refreshes; poolSlowdown
-	// sums it over the pool.
-	svcSec float64
-
 	// rep is the node's serving replica in serve mode (nil in slot mode);
 	// it replaces active as the source of busy time and power.
 	rep *serve.Replica
@@ -609,10 +604,9 @@ type Row struct {
 	svcEffSec   float64                                   // aggregate S at full clocks
 	svcBase     map[workload.Priority]float64             // per-pool S at full clocks
 	svcAtLock   map[workload.Priority]map[float64]float64 // per-pool S per lock MHz
-	// slowdown caches poolSlowdown per pool; slowdownOK is cleared by
-	// setAppliedLock, the one writer of a node's applied lock.
-	slowdown   [2]float64
-	slowdownOK [2]bool
+	// slowdown caches poolSlowdown per pool; setAppliedLock, the one
+	// writer of a node's applied lock, recomputes it.
+	slowdown [2]float64
 
 	dispatchRNG *rand.Rand
 	oobRNG      *rand.Rand
@@ -761,8 +755,8 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 	r.svcAtLock = map[workload.Priority]map[float64]float64{
 		workload.Low: {0: sLow}, workload.High: {0: sHigh},
 	}
-	for _, n := range r.nodes {
-		n.svcSec = r.serviceAtLock(n.pri, 0)
+	for p := range r.slowdown {
+		r.slowdown[p] = r.poolSlowdown(workload.Priority(p))
 	}
 	r.svcEffSec = cfg.Shape().MeanServiceSec
 	if o := eng.Observer(); o != nil {
@@ -1193,7 +1187,7 @@ func (r *Row) admitLimit(p workload.Priority, now sim.Time) int {
 		return 0
 	}
 	busyFrac := r.arrivalPlan.RateAt(now) * r.svcEffSec / float64(len(r.nodes))
-	slow := r.poolSlowdown(p)
+	slow := r.slowdown[p]
 	target := busyFrac * float64(len(pool)) * slow
 	// Square-root staffing slack: keeps the queueing delay independent of
 	// pool size as oversubscription adds servers.
@@ -1209,33 +1203,28 @@ func (r *Row) admitLimit(p workload.Priority, now sim.Time) int {
 }
 
 // poolSlowdown returns the pool's mean service-time stretch under the
-// currently applied locks (1.0 when uncapped). It is recomputed only after
-// setAppliedLock changed a lock in the pool.
+// currently applied locks (1.0 when uncapped). admitLimit reads it from
+// r.slowdown, which NewRow and setAppliedLock fill.
 func (r *Row) poolSlowdown(p workload.Priority) float64 {
-	if r.slowdownOK[p] {
-		return r.slowdown[p]
+	base := r.svcBase[p]
+	if base <= 0 {
+		return 1
 	}
-	slow := 1.0
-	if base := r.svcBase[p]; base > 0 {
-		var sum float64
-		pool := r.pools[p]
-		for _, n := range pool {
-			sum += n.svcSec
-		}
-		slow = sum / float64(len(pool)) / base
+	var sum float64
+	pool := r.pools[p]
+	for _, n := range pool {
+		sum += r.serviceAtLock(p, n.appliedLock)
 	}
-	r.slowdown[p], r.slowdownOK[p] = slow, true
-	return slow
+	return sum / float64(len(pool)) / base
 }
 
 // setAppliedLock is the one writer of a node's applied SM-clock lock: it
-// records the lock and its service time, locks the node's device clock
-// and invalidates the pool's cached slowdown.
+// records the lock, locks the node's device clock and recomputes the
+// pool's cached slowdown.
 func (r *Row) setAppliedLock(n *node, mhz float64) {
 	n.appliedLock = mhz
-	n.svcSec = r.serviceAtLock(n.pri, mhz)
 	n.dev.LockClock(mhz)
-	r.slowdownOK[n.pri] = false
+	r.slowdown[n.pri] = r.poolSlowdown(n.pri)
 }
 
 // serviceAtLock returns the cached mean service time for the pool's mix at

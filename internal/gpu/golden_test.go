@@ -169,35 +169,3 @@ func TestRunBitsGolden(t *testing.T) {
 		t.Errorf("grid covers %d single-segment and %d throttled runs; want both", one, two)
 	}
 }
-
-// TestCapProbeMatchesCountersAt checks the bisection's hoisted probe
-// against the expressions it replaces, bit for bit, across the golden
-// grid and the whole lockable clock range: one rounding that differs
-// anywhere here could flip a bisection step on some other input.
-func TestCapProbeMatchesCountersAt(t *testing.T) {
-	for _, spec := range []Spec{A100SXM80GB(), H100SXM80GB()} {
-		lo := spec.MinSMClockMHz / spec.MaxSMClockMHz
-		for _, dt := range []llm.DType{llm.FP16, llm.INT8, llm.FP8, llm.FP32} {
-			for _, eff := range []float64{0, 0.62} {
-				for _, p := range goldenPhases(dt, eff) {
-					// Clock locks, the brake and the cap bound which ratios the
-					// bisection probes, not the power at a ratio.
-					for _, v := range goldenVariations {
-						d := NewDevice(spec)
-						d.SetVariation(v.power, v.perf)
-						probe := d.newCapProbe(&p)
-						for i := 0; i <= 200; i++ {
-							r := lo + (1-lo)*float64(i)/200
-							total, tc, tm := d.phaseTiming(&p, r)
-							want := d.countersAt(&p, r, total, tc, tm).PowerWatts
-							if got := probe.power(r); math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("%s/%s/%s/eff%.2f/var%.1f:%.1f at ratio %v: probe %v (%016x), countersAt %v (%016x)",
-									spec.Name, dt, p.Name, eff, v.power, v.perf, r, got, math.Float64bits(got), want, math.Float64bits(want))
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}

@@ -310,50 +310,83 @@ func (p Phase) effFactor() float64 {
 	return p.Efficiency
 }
 
-// phaseTiming computes the roofline timing of a phase at a clock ratio.
-func (d *Device) phaseTiming(p *Phase, ratio float64) (total, tc, tm float64) {
-	eff := p.DType.KernelEfficiency() * p.effFactor()
-	flops := d.spec.PeakFLOPS(p.DType) * eff * ratio * d.perfVar
-	tc = 0.0
-	if flops > 0 {
-		tc = p.FLOPs / flops
-	}
-	tm = p.MemBytes / (d.spec.MemBandwidthGBps * 1e9)
-	busy := max(tc, tm)
-	total = busy + p.CommSeconds + p.OverheadSeconds/ratio
-	return total, tc, tm
+// roofline is one phase on one device with the terms of its timing and
+// power that do not depend on the clock ratio — the datatype's derated peak
+// throughput, the memory time and the occupancy derate — computed once, so
+// the power-cap bisection's probes pay only for the ratio-dependent ones.
+// Run, PeakPower and the bisection all evaluate the phase through it.
+type roofline struct {
+	d    *Device
+	p    *Phase
+	effF float64 // p.effFactor()
+	peak float64 // PeakFLOPS × (KernelEfficiency × effF)
+	tm   float64 // memory time, which the clock does not change
 }
 
-// countersAt derives the counter values for a phase executing at a clock
-// ratio, given its timing decomposition.
-func (d *Device) countersAt(p *Phase, ratio, total, tc, tm float64) Counters {
-	if total <= 0 {
-		return d.idleCounters()
+func (d *Device) roofline(p *Phase) roofline {
+	s := &d.spec
+	effF := p.effFactor()
+	return roofline{
+		d: d, p: p, effF: effF,
+		peak: s.PeakFLOPS(p.DType) * (p.DType.KernelEfficiency() * effF),
+		tm:   p.MemBytes / (s.MemBandwidthGBps * 1e9),
 	}
-	overhead := p.OverheadSeconds / ratio
+}
+
+// timing returns the phase's duration and compute time at clock ratio r.
+func (m *roofline) timing(r float64) (total, tc float64) {
+	flops := m.peak * r * m.d.perfVar
+	if flops > 0 {
+		tc = m.p.FLOPs / flops
+	}
+	total = max(tc, m.tm) + m.p.CommSeconds + m.p.OverheadSeconds/r
+	return total, tc
+}
+
+// activity derives the clamped activity fractions and the power of the
+// phase executing at clock ratio r, given its timing; a phase with no
+// duration draws idle power.
+func (m *roofline) activity(r, total, tc float64) (power, util, smAct, tensorAct, memAct float64) {
+	s, p := &m.d.spec, m.p
+	if total <= 0 {
+		return s.IdleWatts, 0, 0, 0, 0
+	}
+	overhead := p.OverheadSeconds / r
 	// tc is already inflated by low occupancy; the tensor pipes are only
 	// effFactor-busy during it, so instantaneous power scales back down.
-	tensorAct := tc * p.TensorFrac * p.effFactor() / total
-	smAct := (tc + overhead) / total
-	memAct := tm / total
-	clamp01 := func(x float64) float64 { return min(max(x, 0), 1) }
-	tensorAct, smAct, memAct = clamp01(tensorAct), clamp01(smAct), clamp01(memAct)
-	util := clamp01((max(tc, tm) + overhead) / total)
+	tensorAct = min(max(tc*p.TensorFrac*m.effF/total, 0), 1)
+	smAct = min(max((tc+overhead)/total, 0), 1)
+	memAct = min(max(m.tm/total, 0), 1)
+	util = min(max((max(tc, m.tm)+overhead)/total, 0), 1)
 
-	dyn := math.Pow(ratio, d.spec.DVFSAlpha) * d.powerVar
-	power := d.spec.IdleWatts +
-		dyn*(d.spec.TensorWatts*tensorAct+d.spec.SMWatts*max(smAct-tensorAct, 0)+d.spec.ClockWatts*util) +
-		d.spec.MemWatts*memAct*d.powerVar
+	dyn := math.Pow(r, s.DVFSAlpha) * m.d.powerVar
+	power = s.IdleWatts +
+		dyn*(s.TensorWatts*tensorAct+s.SMWatts*max(smAct-tensorAct, 0)+s.ClockWatts*util) +
+		s.MemWatts*memAct*m.d.powerVar
+	return power, util, smAct, tensorAct, memAct
+}
+
+// counters returns the counter values of the phase executing at clock ratio
+// r, given its timing.
+func (m *roofline) counters(r, total, tc float64) Counters {
+	power, util, smAct, tensorAct, memAct := m.activity(r, total, tc)
 	return Counters{
 		PowerWatts:     power,
 		GPUUtil:        util,
-		MemUtil:        d.memUsedGB / d.spec.MemoryGB,
+		MemUtil:        m.d.memUsedGB / m.d.spec.MemoryGB,
 		SMActivity:     smAct,
 		TensorActivity: tensorAct,
 		MemActivity:    memAct,
 		PCIeTXMBps:     150 * util,
 		PCIeRXMBps:     180 * util,
 	}
+}
+
+// power returns the phase's steady-state power at clock ratio r.
+func (m *roofline) power(r float64) float64 {
+	total, tc := m.timing(r)
+	power, _, _, _, _ := m.activity(r, total, tc)
+	return power
 }
 
 // idleCounters returns the counter set for an idle device.
@@ -369,54 +402,6 @@ func (d *Device) Idle(dur time.Duration) Exec {
 	}
 }
 
-// capProbe is phaseTiming followed by countersAt's PowerWatts for one phase
-// on one device, as the power-cap bisection probes it: the terms that do not
-// depend on the clock ratio — the datatype's derated peak throughput, the
-// memory time and the occupancy derate — are computed once, and the spec is
-// read through a pointer. Every expression keeps phaseTiming's and
-// countersAt's operand order, so each probe's power is bit-identical to
-// theirs.
-type capProbe struct {
-	d    *Device
-	p    *Phase
-	effF float64 // p.effFactor()
-	peak float64 // PeakFLOPS × (KernelEfficiency × effF)
-	tm   float64 // memory time, which the clock does not change
-}
-
-func (d *Device) newCapProbe(p *Phase) capProbe {
-	s := &d.spec
-	effF := p.effFactor()
-	return capProbe{
-		d: d, p: p, effF: effF,
-		peak: s.PeakFLOPS(p.DType) * (p.DType.KernelEfficiency() * effF),
-		tm:   p.MemBytes / (s.MemBandwidthGBps * 1e9),
-	}
-}
-
-// power returns the phase's steady-state power at clock ratio r.
-func (c *capProbe) power(r float64) float64 {
-	d, p, s, tm := c.d, c.p, &c.d.spec, c.tm
-	flops := c.peak * r * d.perfVar
-	tc := 0.0
-	if flops > 0 {
-		tc = p.FLOPs / flops
-	}
-	overhead := p.OverheadSeconds / r
-	total := max(tc, tm) + p.CommSeconds + overhead
-	if total <= 0 {
-		return s.IdleWatts
-	}
-	tensorAct := min(max(tc*p.TensorFrac*c.effF/total, 0), 1)
-	smAct := min(max((tc+overhead)/total, 0), 1)
-	memAct := min(max(tm/total, 0), 1)
-	util := min(max((max(tc, tm)+overhead)/total, 0), 1)
-	dyn := math.Pow(r, s.DVFSAlpha) * d.powerVar
-	return s.IdleWatts +
-		dyn*(s.TensorWatts*tensorAct+s.SMWatts*max(smAct-tensorAct, 0)+s.ClockWatts*util) +
-		s.MemWatts*memAct*d.powerVar
-}
-
 // throttleRatioFor returns the largest clock ratio <= maxRatio at which the
 // phase's steady-state power respects the cap. The solution accounts for
 // activity fractions changing as the clock drops (a memory-bound phase
@@ -429,13 +414,13 @@ func (d *Device) throttleRatioFor(p *Phase, maxRatio, hiPower float64) float64 {
 	if hiPower <= d.powerCapWatts {
 		return hi
 	}
-	probe := d.newCapProbe(p)
-	if probe.power(lo) > d.powerCapWatts {
+	m := d.roofline(p)
+	if m.power(lo) > d.powerCapWatts {
 		return lo
 	}
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if probe.power(mid) > d.powerCapWatts {
+		if m.power(mid) > d.powerCapWatts {
 			hi = mid
 		} else {
 			lo = mid
@@ -471,11 +456,12 @@ func (d *Device) RunInto(p Phase, e *Exec) {
 	e.Duration = 0
 	maxRatio := d.clockCeilingMHz() / d.spec.MaxSMClockMHz
 
-	fullTotal, tc, tm := d.phaseTiming(&p, maxRatio)
+	m := d.roofline(&p)
+	fullTotal, tc := m.timing(maxRatio)
 	if fullTotal <= 0 {
 		return
 	}
-	full := d.countersAt(&p, maxRatio, fullTotal, tc, tm)
+	full := m.counters(maxRatio, fullTotal, tc)
 
 	if full.PowerWatts <= d.powerCapWatts+1e-9 {
 		dur := secToDur(fullTotal)
@@ -496,8 +482,9 @@ func (d *Device) RunInto(p Phase, e *Exec) {
 	throttled := d.throttleRatioFor(&p, maxRatio, full.PowerWatts)
 	doneFrac := react / fullTotal // fraction of work done before throttling
 	rest := p.Scale(1 - doneFrac)
-	restTotal, rtc, rtm := d.phaseTiming(&rest, throttled)
-	restCtr := d.countersAt(&rest, throttled, restTotal, rtc, rtm)
+	rm := d.roofline(&rest)
+	restTotal, rtc := rm.timing(throttled)
+	restCtr := rm.counters(throttled, restTotal, rtc)
 	e.Segments = append(e.Segments,
 		Segment{Duration: secToDur(react), Counters: full},
 		Segment{Duration: secToDur(restTotal), Counters: restCtr},
@@ -534,11 +521,8 @@ func secToDur(s float64) time.Duration {
 // height of the initial spike).
 func (d *Device) PeakPower(p Phase) float64 {
 	maxRatio := d.clockCeilingMHz() / d.spec.MaxSMClockMHz
-	total, tc, tm := d.phaseTiming(&p, maxRatio)
-	if total <= 0 {
-		return d.spec.IdleWatts
-	}
-	return d.countersAt(&p, maxRatio, total, tc, tm).PowerWatts
+	m := d.roofline(&p)
+	return m.power(maxRatio)
 }
 
 // MeanPower returns the time-weighted mean power of an Exec.
